@@ -359,19 +359,14 @@ def eval_query(
     if mode is QueryMode.INSTANCES:
         return sorted(_extension(o, r, expr))
 
-    names = _named_conjuncts(expr)
-    if mode in (QueryMode.SUBCLASSES, QueryMode.DIRECT_SUBCLASSES):
-        result = c.descendants[names[0]]
-        for name in names[1:]:
-            result &= c.descendants[name]
-        if mode is QueryMode.DIRECT_SUBCLASSES:
-            result = frozenset(d for d in result if not (c.ancestors[d] & result))
-        return sorted(result)
-
-    result = frozenset({names[0]}) | c.ancestors[names[0]]
-    for name in names[1:]:
-        result &= frozenset({name}) | c.ancestors[name]
-    result -= set(names)
-    if mode is QueryMode.DIRECT_SUPERCLASSES:
-        result = frozenset(a for a in result if not (c.descendants[a] & result))
-    return sorted(result)
+    # Both closure relations are strict, so the intersection never holds a
+    # query class itself.
+    upward = mode in (QueryMode.SUPERCLASSES, QueryMode.DIRECT_SUPERCLASSES)
+    along, across = (c.ancestors, c.descendants) if upward else (c.descendants, c.ancestors)
+    result = -1
+    for name in _named_conjuncts(expr):
+        result &= along.masks[name]
+    found = along.names(result)
+    if mode in (QueryMode.DIRECT_SUBCLASSES, QueryMode.DIRECT_SUPERCLASSES):
+        found = [x for x in found if not across.masks[x] & result]
+    return sorted(found)

@@ -7,6 +7,7 @@ conflicts instead of overwriting or failing outright.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -46,12 +47,18 @@ from .reasoner import TaxonomyClosure, compute_closure
 
 
 def _reduced_parents(closure: TaxonomyClosure) -> dict[str, frozenset[str]]:
-    """Transitive reduction: the minimal edges with the closure's reachability."""
+    """Transitive reduction: the minimal edges with the closure's reachability.
+
+    A direct parent is redundant exactly when another direct parent lies
+    below it, i.e. when its bit is in the union of the parents' ancestors.
+    """
+    anc, position = closure.ancestors.masks, closure.position
     reduced: dict[str, frozenset[str]] = {}
-    for cls, ancs in closure.ancestors.items():
-        reduced[cls] = frozenset(
-            p for p in ancs if not any(p in closure.ancestors[z] for z in ancs if z != p)
-        )
+    for cls, parents in closure.direct_parents.items():
+        covered = 0
+        for p in parents:
+            covered |= anc[p]
+        reduced[cls] = frozenset(p for p in parents if not covered >> position[p] & 1)
     return reduced
 
 
@@ -115,10 +122,18 @@ def ingest_csv(
     if diags:
         return [], sort_diagnostics(diags)
 
-    rows = list(csv.reader(csv_text.splitlines()))
+    reader = csv.reader(io.StringIO(csv_text, newline=""))
+    rows: list[tuple[int, list[str]]] = []  # (first line of the row, cells)
+    first = 1
+    try:
+        for row in reader:
+            rows.append((first, row))
+            first = reader.line_num + 1
+    except csv.Error as exc:
+        return [], [error(E_SYNTAX, f"unreadable CSV: {exc}", file_name, reader.line_num)]
     if not rows:
         return [], []
-    header_row = rows[0]
+    header_row = rows[0][1]
     columns = {h: i for i, h in enumerate(header_row)}
     if "id" not in columns:
         diags.append(error(E_CSV_HEADER, "missing required 'id' column", file_name, 1))
@@ -132,7 +147,10 @@ def ingest_csv(
 
     axioms: list[Axiom] = []
     seen_ids: set[str] = set()
-    for line, row in enumerate(rows[1:], 2):
+    for line, row in rows[1:]:
+        if any("\n" in cell or "\r" in cell for cell in row):
+            diags.append(error(E_SYNTAX, "a cell spans more than one line", file_name, line))
+            continue
         if len(row) != len(header_row):
             diags.append(
                 error(

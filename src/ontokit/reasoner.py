@@ -8,9 +8,10 @@ here; the taxonomy must be a DAG and cycles are hard errors.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Optional
+from itertools import compress
+from typing import Optional
 
 from .model import (
     Diagnostic,
@@ -21,6 +22,41 @@ from .model import (
     error,
 )
 
+# Maps the digits of a binary numeral to the bytes 0 and 1.
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+class MaskView(Mapping[str, frozenset[str]]):
+    """Read-only map from a name to a set of names stored as int bitmasks.
+
+    Bit i of a mask stands for `universe[i]`. A set is decoded on its first
+    access and cached; `masks` holds the raw ints for bitwise callers.
+    """
+
+    def __init__(self, masks: dict[str, int], universe: Sequence[str]):
+        self.masks = masks
+        self.universe = universe
+        self._decoded: dict[str, frozenset[str]] = {}
+
+    def names(self, mask: int) -> Iterator[str]:
+        """The universe members whose bits are set in `mask`, in bit order."""
+        return compress(self.universe, f"{mask:b}"[::-1].encode().translate(_BIT_BYTES))
+
+    def __getitem__(self, key: str) -> frozenset[str]:
+        found = self._decoded.get(key)
+        if found is None:
+            found = self._decoded[key] = frozenset(self.names(self.masks[key]))
+        return found
+
+    def __contains__(self, key: object) -> bool:
+        return key in self.masks
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.masks)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
 
 @dataclass(frozen=True)
 class TaxonomyClosure:
@@ -29,27 +65,27 @@ class TaxonomyClosure:
     `ancestors` is strict (a class is not its own ancestor) and includes
     Thing for every other class; `descendants` is its inverse;
     `direct_parents` keeps only the direct edges the closure was built from.
+    Both views are masks over `order`, the classes in a topological order
+    with parents first; `position` is each class's bit.
     """
 
-    ancestors: dict[str, frozenset[str]]
-    descendants: dict[str, frozenset[str]]
+    order: tuple[str, ...]
+    position: dict[str, int]
+    ancestors: MaskView
+    descendants: MaskView
     direct_parents: dict[str, frozenset[str]]
-
-    @cached_property
-    def direct_children(self) -> dict[str, frozenset[str]]:
-        acc: dict[str, set[str]] = {c: set() for c in self.ancestors}
-        for child, parents in self.direct_parents.items():
-            for parent in parents:
-                acc[parent].add(child)
-        return {c: frozenset(kids) for c, kids in acc.items()}
 
 
 @dataclass(frozen=True)
 class Realization:
-    """Inferred individual memberships under subsumption."""
+    """Inferred individual memberships under subsumption.
 
-    members_of: dict[str, frozenset[str]]
-    types_of: dict[str, frozenset[str]]
+    `members_of` masks are over the sorted individuals, `types_of` masks
+    over the closure's class order.
+    """
+
+    members_of: MaskView
+    types_of: MaskView
 
 
 def _strongly_connected(
@@ -140,32 +176,25 @@ def compute_closure(o: Ontology) -> tuple[Optional[TaxonomyClosure], list[Diagno
             )
         return None, diags
 
-    ancestors: dict[str, frozenset[str]] = {}
-    for start in nodes:
-        stack = [start]
-        while stack:
-            node = stack[-1]
-            if node in ancestors:
-                stack.pop()
-                continue
-            pending = [p for p in parents[node] if p not in ancestors]
-            if pending:
-                stack.extend(pending)
-                continue
-            acc: set[str] = set()
-            for p in parents[node]:
-                acc.add(p)
-                acc |= ancestors[p]
-            ancestors[node] = frozenset(acc)
-            stack.pop()
-
-    descendants: dict[str, set[str]] = {n: set() for n in nodes}
-    for node, ancs in ancestors.items():
-        for a in ancs:
-            descendants[a].add(node)
+    # Without cycles Tarjan emits every class after its parents.
+    order = tuple(c[0] for c in components)
+    position = {name: i for i, name in enumerate(order)}
+    ancestors: dict[str, int] = {}
+    for node in order:
+        acc = 0
+        for p in parents[node]:
+            acc |= ancestors[p] | 1 << position[p]
+        ancestors[node] = acc
+    descendants = dict.fromkeys(order, 0)
+    for node in reversed(order):
+        below = descendants[node] | 1 << position[node]
+        for p in parents[node]:
+            descendants[p] |= below
     closure = TaxonomyClosure(
-        ancestors=ancestors,
-        descendants={n: frozenset(s) for n, s in descendants.items()},
+        order=order,
+        position=position,
+        ancestors=MaskView(ancestors, order),
+        descendants=MaskView(descendants, order),
         direct_parents=parents,
     )
     return closure, []
@@ -178,20 +207,23 @@ def realize(o: Ontology, closure: TaxonomyClosure) -> Realization:
     those types; `members_of` holds the inverse view with an entry (possibly
     empty) for every class.
     """
-    types_of: dict[str, frozenset[str]] = {}
-    for ind in sorted(o.individuals):
-        acc: set[str] = set()
-        for t in o.asserted_types.get(ind, frozenset()):
-            acc.add(t)
-            acc |= closure.ancestors[t]
-        types_of[ind] = frozenset(acc)
-    members: dict[str, set[str]] = {c: set() for c in closure.ancestors}
-    for ind, types in types_of.items():
-        for t in types:
-            members[t].add(ind)
+    individuals = sorted(o.individuals)
+    anc = closure.ancestors.masks
+    position = closure.position
+    members = dict.fromkeys(closure.order, 0)
+    types_of: dict[str, int] = {}
+    for i, ind in enumerate(individuals):
+        acc = 0
+        for t in o.asserted_types.get(ind, ()):
+            members[t] |= 1 << i
+            acc |= anc[t] | 1 << position[t]
+        types_of[ind] = acc
+    for node in reversed(closure.order):
+        for p in closure.direct_parents[node]:
+            members[p] |= members[node]
     return Realization(
-        members_of={c: frozenset(s) for c, s in members.items()},
-        types_of=types_of,
+        members_of=MaskView(members, individuals),
+        types_of=MaskView(types_of, closure.order),
     )
 
 

@@ -46,6 +46,18 @@ def warshall_reachability(direct_parents: dict[str, frozenset[str]]) -> dict[str
     return reach
 
 
+def transitive_reduction(direct_parents: dict[str, frozenset[str]]) -> set[tuple[str, str]]:
+    """(parent, child) pairs of the hierarchy's transitive reduction: every
+    strict ancestor with no third class between it and the child."""
+    reach = warshall_reachability(direct_parents)
+    return {
+        (a, c)
+        for c, ancestors in reach.items()
+        for a in ancestors
+        if not any(a in reach[b] for b in ancestors)
+    }
+
+
 def walk_types(onto: Ontology, individual: str) -> set[str]:
     """Classes reachable from an individual's asserted types by path walking."""
     seen: set[str] = set()
@@ -125,6 +137,24 @@ def random_taxonomy_axioms(
         child, ancestor = rng.choice(candidates)
         parents[child].append(ancestor)
         axioms.append(SubClassOf(child, ancestor))
+    return axioms
+
+
+def deep_taxonomy_axioms(
+    rng: random.Random, n_classes: int, window: int = 5, individuals_per_class: int = 0
+) -> list[Axiom]:
+    """A deep, narrow taxonomy: class i has one or two parents among the
+    `window` classes before it. Each class gets `individuals_per_class`
+    individuals; all but the first also have a random earlier class as type."""
+    names = [f"C{i:04d}" for i in range(n_classes)]
+    axioms: list[Axiom] = [ClassDecl(n) for n in names]
+    for i, name in enumerate(names):
+        pool = names[max(0, i - window) : i]
+        k = min(len(pool), rng.randint(1, 2))
+        axioms.extend(SubClassOf(name, p) for p in rng.sample(pool, k))
+        for j in range(individuals_per_class):
+            types = (name,) if j == 0 or i == 0 else (name, rng.choice(names[:i]))
+            axioms.append(IndividualDecl(f"{name}_i{j}", types))
     return axioms
 
 

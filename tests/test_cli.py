@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ontokit
 from ontokit.cli import run
 from ontokit.corpus import corpus_paths
 
@@ -213,3 +219,46 @@ class TestUsageErrors:
 
     def test_no_arguments(self, capsys):
         assert run([]) == 2
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        path = tmp_path / "bad.oft"
+        path.write_bytes(b"class A\xff\n")
+        assert run(["check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_non_utf8_csv(self, corpus_files, tmp_path, capsys):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_bytes(b"id,year\nKh\xe9las,1800\n")
+        out = tmp_path / "combined.oft"
+        argv = ["ingest", *corpus_files, "--csv", str(csv_path), "--class", "Species"]
+        assert run([*argv, "--map", "year=has_date_of_origin", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+def test_output_independent_of_hash_seed(corpus_files):
+    """Byte-identical CLI output in fresh interpreters with different
+    string-hash seeds."""
+    commands = [
+        ["check", *corpus_files],
+        ["export-dot", *corpus_files, "--inferred"],
+        ["query", *corpus_files, "-q", "Date_fruit", "-m", "direct-subclasses"],
+    ]
+    src = str(Path(ontokit.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", "from ontokit.cli import main; main()", *argv],
+                env=env,
+                capture_output=True,
+                check=True,
+            )
+            for argv in commands
+        ]
+        outputs.append([(r.stdout, r.stderr) for r in runs])
+    assert outputs[0] == outputs[1]
+    assert all(out for out, _ in outputs[0])

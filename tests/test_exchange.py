@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import random
 
 import bruteforce
@@ -109,6 +110,22 @@ class TestExportDot:
             for cls in onto.classes:
                 assert reach.get(cls, set()) == set(closure.ancestors[cls])
 
+    def test_inferred_edges_equal_transitive_reduction(self):
+        rng = random.Random(37)
+        cases = [
+            parse_built("class A\nclass B\nclass C sub Thing, B\n").axioms,
+            parse_built("class A\nclass B sub A\nclass C sub A\nclass D sub B, C, A\n").axioms,
+            bruteforce.deep_taxonomy_axioms(rng, 60, window=3),
+        ]
+        cases += [
+            bruteforce.random_taxonomy_axioms(rng, rng.randint(3, 40), redundant=rng.randint(1, 6))
+            for _ in range(30)
+        ]
+        for axioms in cases:
+            onto, closure = closed(axioms)
+            drawn = dot_edges(export_dot(onto, closure, inferred=True))
+            assert drawn == bruteforce.transitive_reduction(onto.direct_parents)
+
 
 INGEST_BASE = """\
 class Dates
@@ -175,6 +192,28 @@ class TestIngestCsv:
         )
         assert diags == []
         assert axioms[1].value.lexical == 'honey, "ball" dates'
+
+    def test_multi_line_cell_reported_and_lines_kept(self):
+        onto = parse_built(INGEST_BASE)
+        axioms, diags = ingest_csv(
+            onto,
+            'id,common_name,year\nA,"a\nb",1990\nB,x,old\nB,y,\r\nC,"p\r\nq",\n',
+            "Dates",
+            [("common_name", "has_common_name"), ("year", "has_year")],
+        )
+        assert axioms == []
+        assert [(d.code, d.line) for d in diags] == [
+            ("E_SYNTAX", 2),
+            ("E_TYPE_MISMATCH", 4),
+            ("E_DUP_INDIVIDUAL", 5),
+            ("E_SYNTAX", 6),
+        ]
+
+    def test_unreadable_csv_reported(self):
+        onto = parse_built(INGEST_BASE)
+        huge = "x" * (csv.field_size_limit() + 1)
+        axioms, diags = ingest_csv(onto, f"id\nA\n{huge}\n", "Dates", [])
+        assert axioms == [] and [(d.code, d.line) for d in diags] == [("E_SYNTAX", 3)]
 
     def test_missing_mapped_header(self):
         onto = parse_built(INGEST_BASE)

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import bruteforce
+from ontokit.dlquery import Named
 from ontokit.model import (
     ClassDecl,
     ObjPropDecl,
@@ -69,6 +70,48 @@ class TestClosure:
         second, _ = compute_closure(corpus)
         assert first.ancestors == second.ancestors
         assert first.descendants == second.descendants
+
+
+class TestDeepTaxonomy:
+    """A deep 300-class taxonomy (window 5): ancestor sets grow with depth,
+    so the bitmask views are checked where they are largest."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        rng = random.Random(29)
+        onto, closure = closure_of(
+            bruteforce.deep_taxonomy_axioms(rng, 300, window=5, individuals_per_class=2)
+        )
+        return onto, closure, realize(onto, closure)
+
+    def test_closure_matches_reachability_oracle(self, deep):
+        onto, closure, _ = deep
+        oracle = bruteforce.warshall_reachability(onto.direct_parents)
+        assert {c: set(a) for c, a in closure.ancestors.items()} == oracle
+        inverse: dict[str, set[str]] = {c: set() for c in oracle}
+        for c, ancestors in oracle.items():
+            for a in ancestors:
+                inverse[a].add(c)
+        assert {c: set(d) for c, d in closure.descendants.items()} == inverse
+
+    def test_realization_matches_instance_oracle(self, deep):
+        onto, _, realization = deep
+        members = bruteforce.oracle_members(onto)
+        assert {c: set(m) for c, m in realization.members_of.items()} == members
+        for ind in onto.individuals:
+            assert realization.types_of[ind] == bruteforce.walk_types(onto, ind)
+        for cls in random.Random(31).sample(sorted(onto.classes), 10):
+            assert realization.members_of[cls] == bruteforce.oracle_instances(onto, Named(cls))
+
+    def test_views_are_read_only_mappings(self, deep):
+        _, closure, realization = deep
+        assert "C0299" in closure.ancestors and "Nope" not in closure.ancestors
+        assert len(closure.ancestors) == len(closure.descendants) == 301
+        assert closure.ancestors["C0299"] is closure.ancestors["C0299"]
+        with pytest.raises(KeyError):
+            realization.members_of["Nope"]
+        with pytest.raises(TypeError):
+            closure.ancestors["C0001"] = frozenset()
 
 
 class TestCycles:
