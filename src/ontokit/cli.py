@@ -33,9 +33,19 @@ def _emit(diags: Iterable[Diagnostic]) -> None:
         print(d.render(), file=sys.stderr)
 
 
+class _UnreadableInput(Exception):
+    """An input file that is not UTF-8 text."""
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _UnreadableInput(f"{path}: {exc}") from None
+
+
 def _load(paths: Sequence[str]) -> tuple[Optional[Ontology], list[Diagnostic]]:
-    sources = [(p, Path(p).read_text(encoding="utf-8")) for p in paths]
-    return load_sources(sources)
+    return load_sources([(p, _read_text(p)) for p in paths])
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -146,7 +156,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    csv_text = Path(args.csv).read_text(encoding="utf-8")
+    csv_text = _read_text(args.csv)
     axioms, ingest_diags = ingest_csv(
         onto, csv_text, args.target_class, column_map, file_name=args.csv
     )
@@ -217,7 +227,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, _UnreadableInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

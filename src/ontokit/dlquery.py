@@ -15,22 +15,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
 
-from .model import (
-    E_SYNTAX,
-    E_UNKNOWN_REF,
-    E_UNSUPPORTED_MODE,
-    IDENT_RE,
-    Kind,
-    Literal,
-    NUMBER_RE,
-    Ontology,
-    ValueType,
-    is_datetime,
-)
-from .oft import format_literal
+from .model import E_SYNTAX, E_UNKNOWN_REF, E_UNSUPPORTED_MODE, Kind, Literal, Ontology
+from .oft import LITERAL_KINDS, Token, scan, token_pattern
 from .reasoner import Realization, TaxonomyClosure
 
-_KEYWORDS = ("and", "some", "value")
+_QUERY_TOKENS = token_pattern(
+    {"(": "lparen", ")": "rparen"}, keywords=("and", "some", "value")
+)
 
 
 class QueryMode(Enum):
@@ -108,7 +99,7 @@ def format_expr(expr: ClassExpr) -> str:
     if isinstance(expr, ValueObj):
         return f"{expr.prop} value {expr.individual}"
     assert isinstance(expr, ValueData)
-    return f"{expr.prop} value {format_literal(expr.value)}"
+    return f"{expr.prop} value {expr.value.to_oft()}"
 
 
 def make_and(parts: Iterable[ClassExpr]) -> ClassExpr:
@@ -127,99 +118,24 @@ def make_and(parts: Iterable[ClassExpr]) -> ClassExpr:
     return And(tuple(ordered))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | keyword | lparen | rparen | string | number | boolean | datetime
-    text: str
-    col: int
-
-
-def _scan_query(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        col = i + 1
-        if ch == "(":
-            tokens.append(_Token("lparen", "(", col))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ")", col))
-            i += 1
-            continue
-        if ch == '"':
-            i += 1
-            buf: list[str] = []
-            while True:
-                if i >= n:
-                    raise QuerySyntaxError("unterminated string", col)
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise QuerySyntaxError("unterminated string", col)
-                    esc = text[i + 1]
-                    if esc not in ('"', "\\"):
-                        raise QuerySyntaxError(f"invalid escape \\{esc}", i + 1)
-                    buf.append(esc)
-                    i += 2
-                    continue
-                if c == '"':
-                    i += 1
-                    break
-                buf.append(c)
-                i += 1
-            tokens.append(_Token("string", "".join(buf), col))
-            continue
-        j = i
-        while j < n and text[j] not in ' \t()"':
-            j += 1
-        word = text[i:j]
-        if word in ("true", "false"):
-            tokens.append(_Token("boolean", word, col))
-        elif NUMBER_RE.match(word):
-            tokens.append(_Token("number", word, col))
-        elif word in _KEYWORDS:
-            tokens.append(_Token("keyword", word, col))
-        elif IDENT_RE.match(word):
-            tokens.append(_Token("ident", word, col))
-        elif is_datetime(word):
-            tokens.append(_Token("datetime", word, col))
-        else:
-            raise QuerySyntaxError(f"bad token {word!r}", col)
-        i = j
-    return tokens
-
-
-_LITERAL_KINDS = {
-    "string": ValueType.STRING,
-    "number": ValueType.NUMBER,
-    "boolean": ValueType.BOOLEAN,
-    "datetime": ValueType.DATETIME,
-}
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _scan_query(text)
+        self.tokens = scan(_QUERY_TOKENS, text, QuerySyntaxError)
         self.pos = 0
         self.end_col = len(text) + 1
 
-    def peek(self) -> _Token | None:
+    def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def _fail(self, message: str) -> QuerySyntaxError:
         tok = self.peek()
-        return QuerySyntaxError(message, tok.col if tok else self.end_col)
+        return QuerySyntaxError(message, tok[2] if tok else self.end_col)
 
     def expr(self) -> ClassExpr:
         parts = [self.term()]
         while True:
             tok = self.peek()
-            if tok is None or tok.kind != "keyword" or tok.text != "and":
+            if tok is None or tok[:2] != ("keyword", "and"):
                 break
             self.pos += 1
             parts.append(self.term())
@@ -229,35 +145,38 @@ class _Parser:
         tok = self.peek()
         if tok is None:
             raise self._fail("expected a class name or '('")
-        if tok.kind == "lparen":
+        if tok[0] == "lparen":
             self.pos += 1
             inner = self.expr()
             closing = self.peek()
-            if closing is None or closing.kind != "rparen":
+            if closing is None or closing[0] != "rparen":
                 raise self._fail("expected ')'")
             self.pos += 1
             return inner
-        if tok.kind != "ident":
-            raise self._fail(f"expected a class name or '(', got {tok.text!r}")
+        if tok[0] != "ident":
+            raise self._fail(f"expected a class name or '(', got {tok[1]!r}")
         self.pos += 1
-        name = tok.text
+        name = tok[1]
         nxt = self.peek()
-        if nxt is not None and nxt.kind == "keyword" and nxt.text == "some":
+        if nxt is not None and nxt[:2] == ("keyword", "some"):
             self.pos += 1
             return Some(name, self.term())
-        if nxt is not None and nxt.kind == "keyword" and nxt.text == "value":
+        if nxt is not None and nxt[:2] == ("keyword", "value"):
             self.pos += 1
             val = self.peek()
             if val is None:
                 raise self._fail("expected an individual or literal after 'value'")
-            if val.kind == "ident":
+            if val[0] == "ident":
                 self.pos += 1
-                return ValueObj(name, val.text)
-            if val.kind in _LITERAL_KINDS:
+                return ValueObj(name, val[1])
+            if val[0] in LITERAL_KINDS:
                 self.pos += 1
-                return ValueData(name, Literal(_LITERAL_KINDS[val.kind], val.text))
+                try:
+                    return ValueData(name, Literal(LITERAL_KINDS[val[0]], val[1]))
+                except ValueError as exc:  # a line break, a number out of range
+                    raise QuerySyntaxError(str(exc), val[2]) from None
             raise self._fail(
-                f"expected an individual or literal after 'value', got {val.text!r}"
+                f"expected an individual or literal after 'value', got {val[1]!r}"
             )
         return Named(name)
 
@@ -272,7 +191,7 @@ def parse_query(text: str) -> ClassExpr:
     expr = parser.expr()
     trailing = parser.peek()
     if trailing is not None:
-        raise QuerySyntaxError(f"unexpected token {trailing.text!r}", trailing.col)
+        raise QuerySyntaxError(f"unexpected token {trailing[1]!r}", trailing[2])
     return expr
 
 

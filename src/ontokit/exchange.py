@@ -14,27 +14,20 @@ from typing import Optional, Sequence
 from .model import (
     Axiom,
     DataAssertion,
-    DataPropDecl,
     Diagnostic,
     E_CSV_HEADER,
     E_CYCLE,
     E_DUP_INDIVIDUAL,
-    E_FACET_CLASH,
     E_KIND_CLASH,
-    E_PROP_CLASH,
     E_SYNTAX,
     E_TYPE_MISMATCH,
     E_UNKNOWN_REF,
     IndividualDecl,
     Kind,
     Literal,
-    ObjPropDecl,
     Ontology,
     THING,
     ValueType,
-    axiom_declaration,
-    axiom_identity,
-    axiom_references,
     build_ontology,
     canonical_axioms,
     error,
@@ -122,7 +115,7 @@ def ingest_csv(
     if diags:
         return [], sort_diagnostics(diags)
 
-    reader = csv.reader(io.StringIO(csv_text, newline=""))
+    reader = csv.reader(io.StringIO(csv_text, newline=""), strict=True)
     rows: list[tuple[int, list[str]]] = []  # (first line of the row, cells)
     first = 1
     try:
@@ -209,16 +202,16 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
     """
     base = canonical_axioms(a)
     incoming = canonical_axioms(b)
-    base_ids = {axiom_identity(ax) for ax in base}
+    base_ids = {ax.identity() for ax in base}
     conflicts: list[Diagnostic] = []
 
     # Declaration-level screening against a's symbol table.
     symbols = dict(a.symbols)
     accepted: list[Axiom] = []
     for ax in incoming:
-        if axiom_identity(ax) in base_ids:
+        if ax.identity() in base_ids:
             continue
-        decl = axiom_declaration(ax)
+        decl = ax.declaration()
         if decl is not None:
             decl_name, kind = decl
             prior = symbols.get(decl_name)
@@ -233,39 +226,12 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
                     )
                 )
                 continue
-            if isinstance(ax, DataPropDecl) and decl_name in a.facets:
-                if a.facets[decl_name].key() != ax.facet.key():
-                    conflicts.append(
-                        error(
-                            E_FACET_CLASH,
-                            f"{decl_name} re-declared with a different facet; keeping the first",
-                            ax.file,
-                            ax.line,
-                        )
-                    )
-                    continue
-                if a.domains.get(decl_name) != ax.domain:
-                    conflicts.append(
-                        error(
-                            E_PROP_CLASH,
-                            f"{decl_name} re-declared with a different domain; keeping the first",
-                            ax.file,
-                            ax.line,
-                        )
-                    )
-                    continue
-            if isinstance(ax, ObjPropDecl) and decl_name in a.object_properties:
-                if (a.domains.get(decl_name), a.ranges.get(decl_name)) != (ax.domain, ax.range):
-                    conflicts.append(
-                        error(
-                            E_PROP_CLASH,
-                            f"{decl_name} re-declared with a different domain/range; "
-                            "keeping the first",
-                            ax.file,
-                            ax.line,
-                        )
-                    )
-                    continue
+            first = a.declarations.get(decl)
+            clash = ax.contract_clash(first) if first is not None else None
+            if clash is not None:
+                code, message = clash
+                conflicts.append(error(code, f"{message}; keeping the first", ax.file, ax.line))
+                continue
             symbols.setdefault(decl_name, kind)
         accepted.append(ax)
 
@@ -274,7 +240,7 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
     survivors: list[Axiom] = []
     for ax in accepted:
         bad = False
-        for ref_name, wanted in axiom_references(ax):
+        for ref_name, wanted in ax.references():
             found = symbols.get(ref_name)
             if found is not wanted:
                 code = E_UNKNOWN_REF if found is None else E_KIND_CLASH

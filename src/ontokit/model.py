@@ -14,10 +14,15 @@ from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import cached_property
+from operator import methodcaller
 from typing import Iterable, Optional, Sequence
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-NUMBER_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?\Z")
+#: Identifier and number syntax, shared by the validators below and the
+#: token patterns of the OFT and query scanners.
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+NUMBER = r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+IDENT_RE = re.compile(IDENT + r"\Z")
+NUMBER_RE = re.compile(NUMBER + r"\Z")
 _DATETIME_SHAPE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(T[0-9:.+\-]+Z?)?\Z")
 
 #: Implicit root class present in every ontology; never written to files.
@@ -127,47 +132,60 @@ def is_datetime(lexical: str) -> bool:
     return False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Literal:
     """A typed literal value.
 
     Numbers carry their exact decimal lexical form and compare numerically
     ("1.0" equals "1"); every other type compares by exact lexical match.
+    The comparison key is computed once, at construction.
     """
 
     value_type: ValueType
     lexical: str
+    _key: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         vt, lex = self.value_type, self.lexical
-        if vt is ValueType.NUMBER and parse_number(lex) is None:
-            raise ValueError(f"not a finite decimal: {lex!r}")
-        if vt is ValueType.BOOLEAN and lex not in ("true", "false"):
-            raise ValueError(f"boolean must be 'true' or 'false': {lex!r}")
-        if vt is ValueType.DATETIME and not is_datetime(lex):
-            raise ValueError(f"not an ISO-8601 date or date-time: {lex!r}")
+        if vt is ValueType.NUMBER:
+            number = parse_number(lex)
+            if number is None:
+                raise ValueError(f"not a finite decimal: {lex!r}")
+            key = (vt.value, number)
+        else:
+            if vt is ValueType.BOOLEAN and lex not in ("true", "false"):
+                raise ValueError(f"boolean must be 'true' or 'false': {lex!r}")
+            if vt is ValueType.DATETIME and not is_datetime(lex):
+                raise ValueError(f"not an ISO-8601 date or date-time: {lex!r}")
+            key = (vt.value, lex)
         if "\n" in lex or "\r" in lex:
             raise ValueError("literal may not contain line breaks")
+        object.__setattr__(self, "_key", key)
 
     @property
     def numeric(self) -> Optional[Decimal]:
-        if self.value_type is ValueType.NUMBER:
-            return parse_number(self.lexical)
-        return None
+        return self._key[1] if self.value_type is ValueType.NUMBER else None
 
     def key(self) -> tuple:
         """Equality/hash key: numeric for numbers, lexical otherwise."""
-        if self.value_type is ValueType.NUMBER:
-            return (self.value_type.value, self.numeric)
-        return (self.value_type.value, self.lexical)
+        return self._key
+
+    def to_oft(self) -> str:
+        """The literal as written in OFT and query text."""
+        if self.value_type is ValueType.STRING:
+            escaped = self.lexical.replace("\\", "\\\\").replace('"', '\\"')
+            return f'"{escaped}"'
+        if self.value_type in (ValueType.ANY, ValueType.ENUM):
+            raise ValueError(f"{self.value_type.value} literals have no written form")
+        return self.lexical
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Literal):
             return NotImplemented
-        return self.key() == other.key()
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self._key)
 
 
 def conforms(value: Literal, value_type: ValueType) -> bool:
@@ -212,162 +230,265 @@ class FacetSpec:
         return (self.value_type.value, allowed, self.cardinality.value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Axiom:
-    """Base for all axiom variants; carries the source location."""
+    """Base for all axiom variants; carries the source location.
+
+    Each variant defines everything the rest of the program asks of an
+    axiom. The leading integer of its identity and sort key is the
+    variant's place in the canonical order.
+    """
 
     file: str = field(default="", kw_only=True)
     line: int = field(default=0, kw_only=True)
 
+    def identity(self) -> tuple:
+        """Location-free identity used for duplicate removal and merging."""
+        raise NotImplementedError
 
-@dataclass(frozen=True)
+    def sort_key(self) -> tuple:
+        """Canonical order: variant tag, then byte order of names and lexicals."""
+        return self.identity()
+
+    def implicit(self) -> bool:
+        """Whether the axiom only restates the implicit root, which files
+        never need to write."""
+        return False
+
+    def declaration(self) -> Optional[tuple[str, Kind]]:
+        """(name, kind) introduced by a declaration axiom, else None."""
+        return None
+
+    def references(self) -> tuple[tuple[str, Kind], ...]:
+        """Names the axiom refers to, paired with the kind each use demands."""
+        return ()
+
+    def fault(self) -> Optional[tuple[str, str]]:
+        """(code, message) when the axiom is malformed on its own."""
+        return None
+
+    def contract_clash(self, first: Axiom) -> Optional[tuple[str, str]]:
+        """(code, message) when this re-declaration changes the contract of
+        `first`, the earlier declaration of the same name and kind."""
+        return None
+
+    def to_oft(self) -> str:
+        """The axiom as one OFT line, without the line break."""
+        raise NotImplementedError
+
+
+@dataclass(frozen=True, slots=True)
 class ClassDecl(Axiom):
     name: str
 
+    def identity(self) -> tuple:
+        return (0, self.name)
 
-@dataclass(frozen=True)
+    def implicit(self) -> bool:
+        return self.name == THING
+
+    def declaration(self) -> tuple[str, Kind]:
+        return (self.name, Kind.CLASS)
+
+    def to_oft(self) -> str:
+        return f"class {self.name}"
+
+
+@dataclass(frozen=True, slots=True)
 class SubClassOf(Axiom):
     child: str
     parent: str
 
+    def identity(self) -> tuple:
+        return (1, self.child, self.parent)
 
-@dataclass(frozen=True)
+    def implicit(self) -> bool:
+        return self.parent == THING
+
+    def references(self) -> tuple[tuple[str, Kind], ...]:
+        return ((self.child, Kind.CLASS), (self.parent, Kind.CLASS))
+
+    def fault(self) -> Optional[tuple[str, str]]:
+        if self.child == self.parent:
+            return (E_SELF_SUB, f"class {self.child} cannot be its own subclass")
+        return None
+
+    def to_oft(self) -> str:
+        return f"class {self.child} sub {self.parent}"
+
+
+@dataclass(frozen=True, slots=True)
 class ObjPropDecl(Axiom):
     name: str
     domain: Optional[str] = None
     range: Optional[str] = None
 
+    def identity(self) -> tuple:
+        return (2, self.name, self.domain or "", self.range or "")
 
-@dataclass(frozen=True)
+    def declaration(self) -> tuple[str, Kind]:
+        return (self.name, Kind.OBJECT_PROPERTY)
+
+    def references(self) -> tuple[tuple[str, Kind], ...]:
+        return tuple((n, Kind.CLASS) for n in (self.domain, self.range) if n is not None)
+
+    def contract_clash(self, first: ObjPropDecl) -> Optional[tuple[str, str]]:
+        if (first.domain, first.range) != (self.domain, self.range):
+            return (E_PROP_CLASH, f"{self.name} re-declared with a different domain/range")
+        return None
+
+    def to_oft(self) -> str:
+        parts = [f"objprop {self.name}"]
+        if self.domain is not None:
+            parts.append(f"domain {self.domain}")
+        if self.range is not None:
+            parts.append(f"range {self.range}")
+        return " ".join(parts)
+
+
+@dataclass(frozen=True, slots=True)
 class DataPropDecl(Axiom):
     name: str
     facet: FacetSpec
     domain: Optional[str] = None
 
+    def identity(self) -> tuple:
+        return (3, self.name, self.domain or "", self.facet.key())
 
-@dataclass(frozen=True)
+    def sort_key(self) -> tuple:
+        facet = self.facet
+        allowed = tuple((v.value_type.value, v.lexical) for v in facet.allowed or ())
+        facet_key = (facet.value_type.value, allowed, facet.cardinality.value)
+        return (3, self.name, self.domain or "", facet_key)
+
+    def declaration(self) -> tuple[str, Kind]:
+        return (self.name, Kind.DATA_PROPERTY)
+
+    def references(self) -> tuple[tuple[str, Kind], ...]:
+        return ((self.domain, Kind.CLASS),) if self.domain is not None else ()
+
+    def contract_clash(self, first: DataPropDecl) -> Optional[tuple[str, str]]:
+        if first.facet.key() != self.facet.key():
+            return (E_FACET_CLASH, f"{self.name} re-declared with a different facet")
+        if first.domain != self.domain:
+            return (E_PROP_CLASH, f"{self.name} re-declared with a different domain")
+        return None
+
+    def to_oft(self) -> str:
+        parts = [f"dataprop {self.name}"]
+        if self.domain is not None:
+            parts.append(f"domain {self.domain}")
+        parts.append(f"type {self.facet.value_type.value}")
+        if self.facet.allowed is not None:
+            values = ", ".join(v.to_oft() for v in self.facet.allowed)
+            parts.append(f"allowed {values}")
+        parts.append(f"card {self.facet.cardinality.value}")
+        return " ".join(parts)
+
+
+@dataclass(frozen=True, slots=True)
 class IndividualDecl(Axiom):
     name: str
     types: tuple[str, ...]
 
+    def identity(self) -> tuple:
+        return (4, self.name, self.types)
 
-@dataclass(frozen=True)
+    def declaration(self) -> tuple[str, Kind]:
+        return (self.name, Kind.INDIVIDUAL)
+
+    def references(self) -> tuple[tuple[str, Kind], ...]:
+        return tuple((t, Kind.CLASS) for t in self.types)
+
+    def fault(self) -> Optional[tuple[str, str]]:
+        if not self.types:
+            return (E_SYNTAX, f"individual {self.name} needs at least one type")
+        return None
+
+    def to_oft(self) -> str:
+        return f"individual {self.name} type " + ", ".join(self.types)
+
+
+@dataclass(frozen=True, slots=True)
 class ObjAssertion(Axiom):
     subject: str
     prop: str
     object: str
 
+    def identity(self) -> tuple:
+        return (5, self.subject, self.prop, self.object)
 
-@dataclass(frozen=True)
+    def references(self) -> tuple[tuple[str, Kind], ...]:
+        return (
+            (self.subject, Kind.INDIVIDUAL),
+            (self.prop, Kind.OBJECT_PROPERTY),
+            (self.object, Kind.INDIVIDUAL),
+        )
+
+    def to_oft(self) -> str:
+        return f"rel {self.subject} {self.prop} {self.object}"
+
+
+@dataclass(frozen=True, slots=True)
 class DataAssertion(Axiom):
     subject: str
     prop: str
     value: Literal
 
+    def identity(self) -> tuple:
+        return (6, self.subject, self.prop, self.value.key())
 
-_VARIANT_ORDER = {
-    ClassDecl: 0,
-    SubClassOf: 1,
-    ObjPropDecl: 2,
-    DataPropDecl: 3,
-    IndividualDecl: 4,
-    ObjAssertion: 5,
-    DataAssertion: 6,
-}
+    def sort_key(self) -> tuple:
+        value = self.value
+        return (6, self.subject, self.prop, value.value_type.value, value.lexical)
+
+    def references(self) -> tuple[tuple[str, Kind], ...]:
+        return ((self.subject, Kind.INDIVIDUAL), (self.prop, Kind.DATA_PROPERTY))
+
+    def to_oft(self) -> str:
+        return f"attr {self.subject} {self.prop} {self.value.to_oft()}"
 
 
 def axiom_identity(ax: Axiom) -> tuple:
     """Location-free identity used for duplicate removal and merging."""
-    v = _VARIANT_ORDER[type(ax)]
-    if isinstance(ax, ClassDecl):
-        return (v, ax.name)
-    if isinstance(ax, SubClassOf):
-        return (v, ax.child, ax.parent)
-    if isinstance(ax, ObjPropDecl):
-        return (v, ax.name, ax.domain or "", ax.range or "")
-    if isinstance(ax, DataPropDecl):
-        return (v, ax.name, ax.domain or "", ax.facet.key())
-    if isinstance(ax, IndividualDecl):
-        return (v, ax.name, ax.types)
-    if isinstance(ax, ObjAssertion):
-        return (v, ax.subject, ax.prop, ax.object)
-    assert isinstance(ax, DataAssertion)
-    return (v, ax.subject, ax.prop, ax.value.key())
+    return ax.identity()
 
 
-def _facet_sort_key(facet: FacetSpec) -> tuple:
-    allowed = tuple((v.value_type.value, v.lexical) for v in facet.allowed or ())
-    return (facet.value_type.value, allowed, facet.cardinality.value)
-
-
-def axiom_sort_key(ax: Axiom) -> tuple:
-    """Canonical order: variant tag, then byte order of names and lexicals."""
-    v = _VARIANT_ORDER[type(ax)]
-    if isinstance(ax, ClassDecl):
-        return (v, ax.name)
-    if isinstance(ax, SubClassOf):
-        return (v, ax.child, ax.parent)
-    if isinstance(ax, ObjPropDecl):
-        return (v, ax.name, ax.domain or "", ax.range or "")
-    if isinstance(ax, DataPropDecl):
-        return (v, ax.name, ax.domain or "", _facet_sort_key(ax.facet))
-    if isinstance(ax, IndividualDecl):
-        return (v, ax.name, ax.types)
-    if isinstance(ax, ObjAssertion):
-        return (v, ax.subject, ax.prop, ax.object)
-    assert isinstance(ax, DataAssertion)
-    return (v, ax.subject, ax.prop, ax.value.value_type.value, ax.value.lexical)
-
-
-def axiom_declaration(ax: Axiom) -> Optional[tuple[str, Kind]]:
-    """(name, kind) introduced by a declaration axiom, else None."""
-    if isinstance(ax, ClassDecl):
-        return (ax.name, Kind.CLASS)
-    if isinstance(ax, ObjPropDecl):
-        return (ax.name, Kind.OBJECT_PROPERTY)
-    if isinstance(ax, DataPropDecl):
-        return (ax.name, Kind.DATA_PROPERTY)
-    if isinstance(ax, IndividualDecl):
-        return (ax.name, Kind.INDIVIDUAL)
-    return None
-
-
-def axiom_references(ax: Axiom) -> list[tuple[str, Kind]]:
+def axiom_references(ax: Axiom) -> tuple[tuple[str, Kind], ...]:
     """Names an axiom refers to, paired with the kind each use demands."""
-    if isinstance(ax, SubClassOf):
-        return [(ax.child, Kind.CLASS), (ax.parent, Kind.CLASS)]
-    if isinstance(ax, ObjPropDecl):
-        return [(n, Kind.CLASS) for n in (ax.domain, ax.range) if n is not None]
-    if isinstance(ax, DataPropDecl):
-        return [(ax.domain, Kind.CLASS)] if ax.domain is not None else []
-    if isinstance(ax, IndividualDecl):
-        return [(t, Kind.CLASS) for t in ax.types]
-    if isinstance(ax, ObjAssertion):
-        return [
-            (ax.subject, Kind.INDIVIDUAL),
-            (ax.prop, Kind.OBJECT_PROPERTY),
-            (ax.object, Kind.INDIVIDUAL),
-        ]
-    if isinstance(ax, DataAssertion):
-        return [(ax.subject, Kind.INDIVIDUAL), (ax.prop, Kind.DATA_PROPERTY)]
-    return []
+    return ax.references()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ontology:
     """Immutable, referentially closed axiom set.
 
     Construct only through :func:`build_ontology`; all derived views below
-    are cached and treat the instance as read-only.
+    are cached and treat the instance as read-only. Equality and hashing
+    are by identity, so an ontology can key a dict or a cache.
     """
 
     name: str
     axioms: tuple[Axiom, ...]
     symbols: dict[str, Kind]
+    #: First declaration axiom of each (name, kind).
+    declarations: dict[tuple[str, Kind], Axiom]
     provenance: tuple[str, ...] = ()
 
     def _names_of(self, kind: Kind) -> frozenset[str]:
         return frozenset(n for n, k in self.symbols.items() if k is kind)
+
+    @cached_property
+    def _by_variant(self) -> dict[type, tuple[Axiom, ...]]:
+        """The axioms grouped by variant, each group in source order; one
+        pass over the axioms serves every view below."""
+        groups: dict[type, list[Axiom]] = {}
+        for ax in self.axioms:
+            groups.setdefault(type(ax), []).append(ax)
+        return {variant: tuple(group) for variant, group in groups.items()}
+
+    def _all(self, variant: type) -> tuple:
+        return self._by_variant.get(variant, ())
 
     @cached_property
     def classes(self) -> frozenset[str]:
@@ -390,9 +511,8 @@ class Ontology:
     def direct_parents(self) -> dict[str, frozenset[str]]:
         """Direct superclass edges; parentless classes fall back to Thing."""
         asserted: dict[str, set[str]] = {c: set() for c in self.classes}
-        for ax in self.axioms:
-            if isinstance(ax, SubClassOf):
-                asserted[ax.child].add(ax.parent)
+        for ax in self._all(SubClassOf):
+            asserted[ax.child].add(ax.parent)
         return {
             c: frozenset(ps) if ps else frozenset({THING}) for c, ps in asserted.items()
         }
@@ -400,51 +520,46 @@ class Ontology:
     @cached_property
     def asserted_types(self) -> dict[str, frozenset[str]]:
         acc: dict[str, set[str]] = {}
-        for ax in self.axioms:
-            if isinstance(ax, IndividualDecl):
-                acc.setdefault(ax.name, set()).update(ax.types)
+        for ax in self._all(IndividualDecl):
+            acc.setdefault(ax.name, set()).update(ax.types)
         return {name: frozenset(types) for name, types in acc.items()}
 
     @cached_property
     def facets(self) -> dict[str, FacetSpec]:
         acc: dict[str, FacetSpec] = {}
-        for ax in self.axioms:
-            if isinstance(ax, DataPropDecl):
-                acc.setdefault(ax.name, ax.facet)
+        for ax in self._all(DataPropDecl):
+            acc.setdefault(ax.name, ax.facet)
         return acc
 
     @cached_property
     def domains(self) -> dict[str, Optional[str]]:
         """Declared domain per property (object and data alike)."""
         acc: dict[str, Optional[str]] = {}
-        for ax in self.axioms:
-            if isinstance(ax, (ObjPropDecl, DataPropDecl)):
-                acc.setdefault(ax.name, ax.domain)
+        for ax in self._all(ObjPropDecl) + self._all(DataPropDecl):
+            acc.setdefault(ax.name, ax.domain)
         return acc
 
     @cached_property
     def ranges(self) -> dict[str, Optional[str]]:
         acc: dict[str, Optional[str]] = {}
-        for ax in self.axioms:
-            if isinstance(ax, ObjPropDecl):
-                acc.setdefault(ax.name, ax.range)
+        for ax in self._all(ObjPropDecl):
+            acc.setdefault(ax.name, ax.range)
         return acc
 
     @cached_property
     def obj_assertions(self) -> tuple[ObjAssertion, ...]:
-        return tuple(ax for ax in self.axioms if isinstance(ax, ObjAssertion))
+        return self._all(ObjAssertion)
 
     @cached_property
     def data_assertions(self) -> tuple[DataAssertion, ...]:
-        return tuple(ax for ax in self.axioms if isinstance(ax, DataAssertion))
+        return self._all(DataAssertion)
 
     @cached_property
     def individual_locations(self) -> dict[str, tuple[str, int]]:
         """First declaration site of each individual (diagnostic anchor)."""
         acc: dict[str, tuple[str, int]] = {}
-        for ax in self.axioms:
-            if isinstance(ax, IndividualDecl):
-                acc.setdefault(ax.name, (ax.file, ax.line))
+        for ax in self._all(IndividualDecl):
+            acc.setdefault(ax.name, (ax.file, ax.line))
         return acc
 
 
@@ -464,10 +579,17 @@ def build_ontology(
         diags.append(error(E_SYNTAX, f"invalid ontology name {name!r}"))
 
     symbols: dict[str, Kind] = {THING: Kind.CLASS}
+    first_decls: dict[tuple[str, Kind], Axiom] = {}
     for ax in axioms:
-        decl = axiom_declaration(ax)
+        decl = ax.declaration()
         if decl is None:
             continue
+        # Re-declaring a property must not change its contract.
+        first = first_decls.setdefault(decl, ax)
+        if first is not ax:
+            clash = ax.contract_clash(first)
+            if clash is not None:
+                diags.append(error(*clash, ax.file, ax.line))
         decl_name, kind = decl
         if not is_ident(decl_name):
             diags.append(
@@ -487,63 +609,11 @@ def build_ontology(
                 )
             )
 
-    # Re-declaring a property must not change its contract.
-    first_obj: dict[str, ObjPropDecl] = {}
-    first_data: dict[str, DataPropDecl] = {}
     for ax in axioms:
-        if isinstance(ax, ObjPropDecl):
-            prev = first_obj.setdefault(ax.name, ax)
-            if prev is not ax and (prev.domain, prev.range) != (ax.domain, ax.range):
-                diags.append(
-                    error(
-                        E_PROP_CLASH,
-                        f"{ax.name} re-declared with a different domain/range",
-                        ax.file,
-                        ax.line,
-                    )
-                )
-        elif isinstance(ax, DataPropDecl):
-            prev = first_data.setdefault(ax.name, ax)
-            if prev is not ax:
-                if prev.facet.key() != ax.facet.key():
-                    diags.append(
-                        error(
-                            E_FACET_CLASH,
-                            f"{ax.name} re-declared with a different facet",
-                            ax.file,
-                            ax.line,
-                        )
-                    )
-                elif prev.domain != ax.domain:
-                    diags.append(
-                        error(
-                            E_PROP_CLASH,
-                            f"{ax.name} re-declared with a different domain",
-                            ax.file,
-                            ax.line,
-                        )
-                    )
-
-    for ax in axioms:
-        if isinstance(ax, SubClassOf) and ax.child == ax.parent:
-            diags.append(
-                error(
-                    E_SELF_SUB,
-                    f"class {ax.child} cannot be its own subclass",
-                    ax.file,
-                    ax.line,
-                )
-            )
-        if isinstance(ax, IndividualDecl) and not ax.types:
-            diags.append(
-                error(
-                    E_SYNTAX,
-                    f"individual {ax.name} needs at least one type",
-                    ax.file,
-                    ax.line,
-                )
-            )
-        for ref_name, wanted in axiom_references(ax):
+        fault = ax.fault()
+        if fault is not None:
+            diags.append(error(*fault, ax.file, ax.line))
+        for ref_name, wanted in ax.references():
             found = symbols.get(ref_name)
             if found is None:
                 diags.append(
@@ -565,6 +635,7 @@ def build_ontology(
         name=name,
         axioms=tuple(axioms),
         symbols=symbols,
+        declarations=first_decls,
         provenance=tuple(provenance),
     )
     return onto, []
@@ -577,17 +648,7 @@ def canonical_axioms(o: Ontology) -> list[Axiom]:
     excluded; duplicates keep their first occurrence. The result is stable
     across calls and process runs.
     """
-    seen: set[tuple] = set()
-    kept: list[Axiom] = []
-    for ax in o.axioms:
-        if isinstance(ax, ClassDecl) and ax.name == THING:
-            continue
-        if isinstance(ax, SubClassOf) and ax.parent == THING:
-            continue
-        identity = axiom_identity(ax)
-        if identity in seen:
-            continue
-        seen.add(identity)
-        kept.append(ax)
-    kept.sort(key=axiom_sort_key)
-    return kept
+    # Read backwards, so each identity keeps its first occurrence. Distinct
+    # identities have distinct sort keys, so the order is total.
+    unique = {ax.identity(): ax for ax in reversed(o.axioms) if not ax.implicit()}
+    return sorted(unique.values(), key=methodcaller("sort_key"))

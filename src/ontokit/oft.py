@@ -7,8 +7,9 @@ no input ever raises.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .model import (
     Axiom,
@@ -20,10 +21,10 @@ from .model import (
     E_SYNTAX,
     E_TYPE_MISMATCH,
     FacetSpec,
-    IDENT_RE,
+    IDENT,
     IndividualDecl,
     Literal,
-    NUMBER_RE,
+    NUMBER,
     ObjAssertion,
     ObjPropDecl,
     Ontology,
@@ -38,12 +39,96 @@ from .model import (
 )
 
 _VTYPE_KEYWORDS = {vt.value: vt for vt in ValueType}
-_LITERAL_TOKEN_TYPES = {
+
+#: Value type of each literal token kind, in OFT and in queries.
+LITERAL_KINDS = {
     "string": ValueType.STRING,
     "number": ValueType.NUMBER,
     "boolean": ValueType.BOOLEAN,
     "datetime": ValueType.DATETIME,
 }
+
+#: A token: (kind, text, 1-based column). String tokens carry the unescaped
+#: body; kinds are the group names of `token_pattern`, plus "datetime".
+Token = tuple[str, str, int]
+
+# Group names of `token_pattern` that `scan` handles itself; every other
+# kind, a caller's punctuation included, is a plain token.
+_SPECIAL_KINDS = frozenset({"end", "string", "word", "quoted", "closed"})
+# Backslashes pair off from the left, so skipping whole valid escapes finds
+# the first backslash that escapes neither a quote nor a backslash.
+_INVALID_ESCAPE = re.compile(r'(?:[^\\]|\\["\\])*\\([^"\\])', re.S)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+
+
+def token_pattern(
+    punctuation: dict[str, str], keywords: tuple[str, ...] = (), comment: str = ""
+) -> re.Pattern[str]:
+    """Compile the token pattern of a language of words, quoted strings and
+    one-character punctuation, separated by spaces and tabs.
+
+    A word runs up to the next separator, quote, punctuation or comment
+    character. The pattern classifies it as identifier, boolean, keyword or
+    number; any other word is a `word`, which the scanner accepts only as a
+    date-time. A closed string with no backslash matches `string`; any
+    other string matches `quoted`, plus `closed` when it is closed. Every
+    match takes the blanks before it, and `end` matches a comment or the
+    blanks at the end of the text, so no character is skipped unseen.
+    """
+    stop = re.escape("".join(punctuation) + comment)
+    end = rf'(?=[ \t"{stop}]|\Z)'
+    reserved = "|".join(("true", "false") + keywords)
+    alternatives = [
+        rf"(?P<ident>(?!(?:{reserved}){end}){IDENT}){end}",
+        *(f"(?P<{kind}>{re.escape(ch)})" for ch, kind in punctuation.items()),
+        r'"(?P<string>[^"\\]*)"',
+        r'"(?P<quoted>[^"\\]*(?:\\.[^"\\]*)*)(?P<closed>")?',
+        rf"(?P<boolean>true|false){end}",
+    ]
+    if keywords:
+        alternatives.append(rf"(?P<keyword>{'|'.join(keywords)}){end}")
+    alternatives += [
+        rf"(?P<number>{NUMBER}){end}",
+        rf'(?P<word>[^ \t"{stop}]+)',
+        rf"(?P<end>{re.escape(comment) + '|' if comment else ''}\Z)",
+    ]
+    return re.compile(rf"[ \t]*(?:{'|'.join(alternatives)})", re.S)
+
+
+def scan(
+    pattern: re.Pattern[str], text: str, fault: Callable[[str, int], Exception]
+) -> list[Token]:
+    """Tokens of `text`; raises `fault(message, column)` at the first lexical
+    fault and stops at a comment."""
+    tokens: list[Token] = []
+    for m in pattern.finditer(text):
+        kind = m.lastgroup
+        if kind not in _SPECIAL_KINDS:
+            tokens.append((kind, m.group(kind), m.start(kind) + 1))
+        elif kind == "end":
+            break
+        elif kind == "string":
+            # The group holds the body, so its 0-based start is the 1-based
+            # column of the opening quote.
+            tokens.append((kind, m.group(kind), m.start(kind)))
+        elif kind == "word":
+            word = m.group(kind)
+            if not is_datetime(word):
+                raise fault(f"bad token {word!r}", m.start(kind) + 1)
+            tokens.append(("datetime", word, m.start(kind) + 1))
+        else:
+            col = m.start("quoted")  # the opening quote, as for `string`
+            body = m.group("quoted")
+            bad = _INVALID_ESCAPE.match(body)
+            if bad is not None:
+                raise fault(f"invalid escape \\{bad.group(1)}", col + bad.end() - 1)
+            if kind != "closed":
+                raise fault("unterminated string", col)
+            tokens.append(("string", _ESCAPE.sub(r"\1", body), col))
+    return tokens
+
+
+_OFT_TOKENS = token_pattern({",": "comma"}, comment="#")
 
 
 @dataclass
@@ -51,13 +136,6 @@ class ParseResult:
     ontology_name: str
     axioms: list[Axiom]
     diagnostics: list[Diagnostic]
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | string | number | boolean | datetime | comma
-    text: str
-    col: int
 
 
 class _LineError(Exception):
@@ -68,160 +146,108 @@ class _LineError(Exception):
         self.code = code
 
 
-def _classify_word(word: str, col: int) -> _Token:
-    if word in ("true", "false"):
-        return _Token("boolean", word, col)
-    if NUMBER_RE.match(word):
-        return _Token("number", word, col)
-    if IDENT_RE.match(word):
-        return _Token("ident", word, col)
-    if is_datetime(word):
-        return _Token("datetime", word, col)
-    raise _LineError(f"bad token {word!r}", col)
-
-
-def _scan_line(line: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(line)
-    while i < n:
-        ch = line[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
-            break
-        col = i + 1
-        if ch == ",":
-            tokens.append(_Token("comma", ",", col))
-            i += 1
-            continue
-        if ch == '"':
-            i += 1
-            buf: list[str] = []
-            while True:
-                if i >= n:
-                    raise _LineError("unterminated string", col)
-                c = line[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise _LineError("unterminated string", col)
-                    esc = line[i + 1]
-                    if esc not in ('"', "\\"):
-                        raise _LineError(f"invalid escape \\{esc}", i + 1)
-                    buf.append(esc)
-                    i += 2
-                    continue
-                if c == '"':
-                    i += 1
-                    break
-                buf.append(c)
-                i += 1
-            tokens.append(_Token("string", "".join(buf), col))
-            continue
-        j = i
-        while j < n and line[j] not in ' \t,#"':
-            j += 1
-        tokens.append(_classify_word(line[i:j], col))
-        i = j
-    return tokens
-
-
 class _Cursor:
-    def __init__(self, tokens: list[_Token], line_len: int):
+    __slots__ = ("tokens", "pos", "end_col")
+
+    def __init__(self, tokens: list[Token], line_len: int):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = 1
         self.end_col = line_len + 1
 
-    def peek(self) -> Optional[_Token]:
+    def peek(self) -> Optional[Token]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def take(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
+    def take(self, kind: str, what: str) -> Token:
+        if self.pos >= len(self.tokens):
             raise _LineError(f"expected {what}", self.end_col)
-        if tok.kind != kind:
-            raise _LineError(f"expected {what}, got {tok.text!r}", tok.col)
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise _LineError(f"expected {what}, got {tok[1]!r}", tok[2])
         self.pos += 1
         return tok
 
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()
-        return tok is not None and tok.kind == "ident" and tok.text == word
+        return tok is not None and tok[0] == "ident" and tok[1] == word
+
+    def at_comma(self) -> bool:
+        tok = self.peek()
+        return tok is not None and tok[0] == "comma"
 
     def take_keyword(self, word: str) -> None:
         if not self.at_keyword(word):
             tok = self.peek()
-            col = tok.col if tok else self.end_col
-            got = f", got {tok.text!r}" if tok else ""
+            col = tok[2] if tok else self.end_col
+            got = f", got {tok[1]!r}" if tok else ""
             raise _LineError(f"expected {word!r}{got}", col)
         self.pos += 1
 
     def expect_end(self) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise _LineError(f"unexpected trailing token {tok.text!r}", tok.col)
+        if self.pos < len(self.tokens):
+            tok = self.tokens[self.pos]
+            raise _LineError(f"unexpected trailing token {tok[1]!r}", tok[2])
 
 
 def _take_literal(cur: _Cursor) -> Literal:
     tok = cur.peek()
-    if tok is None or tok.kind not in _LITERAL_TOKEN_TYPES:
-        col = tok.col if tok else cur.end_col
-        raise _LineError("expected a literal value", col)
+    if tok is None or tok[0] not in LITERAL_KINDS:
+        raise _LineError("expected a literal value", tok[2] if tok else cur.end_col)
     cur.pos += 1
-    return Literal(_LITERAL_TOKEN_TYPES[tok.kind], tok.text)
+    try:
+        return Literal(LITERAL_KINDS[tok[0]], tok[1])
+    except ValueError as exc:  # a line break in a string, a number out of range
+        raise _LineError(str(exc), tok[2]) from None
 
 
 def _take_ident_list(cur: _Cursor, what: str) -> list[str]:
-    names = [cur.take("ident", what).text]
-    while cur.peek() is not None and cur.peek().kind == "comma":
+    names = [cur.take("ident", what)[1]]
+    while cur.at_comma():
         cur.pos += 1
-        names.append(cur.take("ident", what).text)
+        names.append(cur.take("ident", what)[1])
     return names
 
 
-def _parse_dataprop(cur: _Cursor, loc: dict) -> list[Axiom]:
-    name = cur.take("ident", "property name").text
+def _parse_dataprop(cur: _Cursor, file_name: str, ln: int) -> DataPropDecl:
+    name = cur.take("ident", "property name")[1]
     domain = None
     if cur.at_keyword("domain"):
         cur.pos += 1
-        domain = cur.take("ident", "domain class").text
+        domain = cur.take("ident", "domain class")[1]
     cur.take_keyword("type")
-    vt_tok = cur.take("ident", "value type")
-    vtype = _VTYPE_KEYWORDS.get(vt_tok.text)
+    _, vt_text, vt_col = cur.take("ident", "value type")
+    vtype = _VTYPE_KEYWORDS.get(vt_text)
     if vtype is None:
-        raise _LineError(f"unknown value type {vt_tok.text!r}", vt_tok.col)
+        raise _LineError(f"unknown value type {vt_text!r}", vt_col)
     allowed: Optional[list[Literal]] = None
     if cur.at_keyword("allowed"):
         cur.pos += 1
         allowed = [_take_literal(cur)]
-        while cur.peek() is not None and cur.peek().kind == "comma":
+        while cur.at_comma():
             cur.pos += 1
             allowed.append(_take_literal(cur))
         seen = set()
         for lit in allowed:
             if lit.key() in seen:
-                raise _LineError(f"duplicate allowed value {lit.lexical!r}", vt_tok.col)
+                raise _LineError(f"duplicate allowed value {lit.lexical!r}", vt_col)
             seen.add(lit.key())
             if not conforms(lit, vtype):
                 raise _LineError(
                     f"allowed value {lit.lexical!r} does not conform to {vtype.value}",
-                    vt_tok.col,
+                    vt_col,
                     code=E_TYPE_MISMATCH,
                 )
     elif vtype is ValueType.ENUM:
-        raise _LineError("enum type requires an allowed-values list", vt_tok.col)
+        raise _LineError("enum type requires an allowed-values list", vt_col)
     card = Cardinality.SINGLE
     if cur.at_keyword("card"):
         cur.pos += 1
-        card_tok = cur.take("ident", "'single' or 'multiple'")
-        if card_tok.text not in ("single", "multiple"):
-            raise _LineError(
-                f"expected 'single' or 'multiple', got {card_tok.text!r}", card_tok.col
-            )
-        card = Cardinality(card_tok.text)
+        _, card_text, card_col = cur.take("ident", "'single' or 'multiple'")
+        if card_text not in ("single", "multiple"):
+            raise _LineError(f"expected 'single' or 'multiple', got {card_text!r}", card_col)
+        card = Cardinality(card_text)
     cur.expect_end()
     facet = FacetSpec(vtype, tuple(allowed) if allowed is not None else None, card)
-    return [DataPropDecl(name, facet, domain, **loc)]
+    return DataPropDecl(name, facet, domain, file=file_name, line=ln)
 
 
 def parse_oft(source: str, file_name: str = "<input>") -> ParseResult:
@@ -237,25 +263,34 @@ def parse_oft(source: str, file_name: str = "<input>") -> ParseResult:
         lines.pop()
     for ln, raw in enumerate(lines, 1):
         line = raw[:-1] if raw.endswith("\r") else raw
-        loc = {"file": file_name, "line": ln}
         try:
-            tokens = _scan_line(line)
+            tokens = scan(_OFT_TOKENS, line, _LineError)
             if not tokens:
                 continue
-            head = tokens[0]
-            if head.kind != "ident":
-                raise _LineError(f"expected statement keyword, got {head.text!r}", head.col)
+            kind, head, head_col = tokens[0]
+            if kind != "ident":
+                raise _LineError(f"expected statement keyword, got {head!r}", head_col)
             cur = _Cursor(tokens, len(line))
-            cur.pos = 1
-            if head.text == "ontology":
-                tok = cur.take("ident", "ontology name")
+            if head == "rel":
+                subj = cur.take("ident", "subject")[1]
+                prop = cur.take("ident", "property")[1]
+                obj = cur.take("ident", "object")[1]
                 cur.expect_end()
-                if have_header:
-                    raise _LineError("duplicate ontology header", head.col)
-                name = tok.text
-                have_header = True
-            elif head.text == "class":
-                cls = cur.take("ident", "class name").text
+                axioms.append(ObjAssertion(subj, prop, obj, file=file_name, line=ln))
+            elif head == "attr":
+                subj = cur.take("ident", "subject")[1]
+                prop = cur.take("ident", "property")[1]
+                value = _take_literal(cur)
+                cur.expect_end()
+                axioms.append(DataAssertion(subj, prop, value, file=file_name, line=ln))
+            elif head == "individual":
+                ind = cur.take("ident", "individual name")[1]
+                cur.take_keyword("type")
+                types = _take_ident_list(cur, "type class")
+                cur.expect_end()
+                axioms.append(IndividualDecl(ind, tuple(types), file=file_name, line=ln))
+            elif head == "class":
+                cls = cur.take("ident", "class name")[1]
                 parents: list[str] = []
                 if cur.at_keyword("sub"):
                     cur.pos += 1
@@ -263,85 +298,35 @@ def parse_oft(source: str, file_name: str = "<input>") -> ParseResult:
                 cur.expect_end()
                 if cls not in declared_classes:
                     declared_classes.add(cls)
-                    axioms.append(ClassDecl(cls, **loc))
-                axioms.extend(SubClassOf(cls, p, **loc) for p in parents)
-            elif head.text == "objprop":
-                prop = cur.take("ident", "property name").text
+                    axioms.append(ClassDecl(cls, file=file_name, line=ln))
+                axioms.extend(SubClassOf(cls, p, file=file_name, line=ln) for p in parents)
+            elif head == "objprop":
+                prop = cur.take("ident", "property name")[1]
                 domain = rng = None
                 if cur.at_keyword("domain"):
                     cur.pos += 1
-                    domain = cur.take("ident", "domain class").text
+                    domain = cur.take("ident", "domain class")[1]
                 if cur.at_keyword("range"):
                     cur.pos += 1
-                    rng = cur.take("ident", "range class").text
+                    rng = cur.take("ident", "range class")[1]
                 cur.expect_end()
-                axioms.append(ObjPropDecl(prop, domain, rng, **loc))
-            elif head.text == "dataprop":
-                axioms.extend(_parse_dataprop(cur, loc))
-            elif head.text == "individual":
-                ind = cur.take("ident", "individual name").text
-                cur.take_keyword("type")
-                types = _take_ident_list(cur, "type class")
+                axioms.append(ObjPropDecl(prop, domain, rng, file=file_name, line=ln))
+            elif head == "dataprop":
+                axioms.append(_parse_dataprop(cur, file_name, ln))
+            elif head == "ontology":
+                tok = cur.take("ident", "ontology name")
                 cur.expect_end()
-                axioms.append(IndividualDecl(ind, tuple(types), **loc))
-            elif head.text == "rel":
-                subj = cur.take("ident", "subject").text
-                prop = cur.take("ident", "property").text
-                obj = cur.take("ident", "object").text
-                cur.expect_end()
-                axioms.append(ObjAssertion(subj, prop, obj, **loc))
-            elif head.text == "attr":
-                subj = cur.take("ident", "subject").text
-                prop = cur.take("ident", "property").text
-                value = _take_literal(cur)
-                cur.expect_end()
-                axioms.append(DataAssertion(subj, prop, value, **loc))
+                if have_header:
+                    raise _LineError("duplicate ontology header", head_col)
+                name = tok[1]
+                have_header = True
             else:
-                raise _LineError(f"unknown statement {head.text!r}", head.col)
+                raise _LineError(f"unknown statement {head!r}", head_col)
         except _LineError as exc:
             diags.append(
                 error(exc.code, f"{exc.message} (column {exc.col})", file_name, ln)
             )
     return ParseResult(name, axioms, diags)
-
-
-def format_literal(lit: Literal) -> str:
-    if lit.value_type is ValueType.STRING:
-        escaped = lit.lexical.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if lit.value_type in (ValueType.ANY, ValueType.ENUM):
-        raise ValueError(f"{lit.value_type.value} literals have no written form")
-    return lit.lexical
-
-
-def _format_axiom(ax: Axiom) -> str:
-    if isinstance(ax, ClassDecl):
-        return f"class {ax.name}"
-    if isinstance(ax, SubClassOf):
-        return f"class {ax.child} sub {ax.parent}"
-    if isinstance(ax, ObjPropDecl):
-        parts = [f"objprop {ax.name}"]
-        if ax.domain is not None:
-            parts.append(f"domain {ax.domain}")
-        if ax.range is not None:
-            parts.append(f"range {ax.range}")
-        return " ".join(parts)
-    if isinstance(ax, DataPropDecl):
-        parts = [f"dataprop {ax.name}"]
-        if ax.domain is not None:
-            parts.append(f"domain {ax.domain}")
-        parts.append(f"type {ax.facet.value_type.value}")
-        if ax.facet.allowed is not None:
-            values = ", ".join(format_literal(v) for v in ax.facet.allowed)
-            parts.append(f"allowed {values}")
-        parts.append(f"card {ax.facet.cardinality.value}")
-        return " ".join(parts)
-    if isinstance(ax, IndividualDecl):
-        return f"individual {ax.name} type " + ", ".join(ax.types)
-    if isinstance(ax, ObjAssertion):
-        return f"rel {ax.subject} {ax.prop} {ax.object}"
-    assert isinstance(ax, DataAssertion)
-    return f"attr {ax.subject} {ax.prop} {format_literal(ax.value)}"
 
 
 def serialize_oft(o: Ontology) -> str:
@@ -351,7 +336,7 @@ def serialize_oft(o: Ontology) -> str:
     axiom set exactly.
     """
     lines = [f"ontology {o.name}"]
-    lines.extend(_format_axiom(ax) for ax in canonical_axioms(o))
+    lines.extend(ax.to_oft() for ax in canonical_axioms(o))
     return "\n".join(lines) + "\n"
 
 

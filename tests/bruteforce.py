@@ -17,8 +17,10 @@ from ontokit.model import (
     DataAssertion,
     DataPropDecl,
     FacetSpec,
+    IDENT_RE,
     IndividualDecl,
     Literal,
+    NUMBER_RE,
     ObjAssertion,
     ObjPropDecl,
     Ontology,
@@ -26,6 +28,7 @@ from ontokit.model import (
     THING,
     ValueType,
     build_ontology,
+    is_datetime,
 )
 
 _STRING_POOL = ["honey", "a b", 'x"y', "back\\slash", "plain", "Zz_9", ""]
@@ -272,3 +275,112 @@ def random_expr(rng: random.Random, onto: Ontology, depth: int = 2) -> ClassExpr
     else:
         value = random_literal(rng, onto.facets[prop])
     return ValueData(prop, value)
+
+
+#: Pieces that random scanner inputs are joined from: every delimiter, the
+#: escape character, signs, exponents, date parts, reserved words and
+#: non-ASCII letters and blanks, so most joins land on a token boundary case.
+SCAN_FRAGMENTS = [
+    " ", "\t", "\r", ",", "#", '"', "\\", "(", ")", "a", "Z", "_", "x9", "0", "1",
+    "+", "-", ".", "e", "E", ":", "T", "true", "false", "and", "some", "value",
+    "2020-01-01", "2020-02-30", "2021-05-01T12:30:00Z", "1.5e-3", "9e99999999999999999999",
+    '\\"', "\\\\",
+    "\u00e9", "\u00a0", "\u65e5",
+]
+
+
+class ScanError(Exception):
+    """A lexical fault found by a reference scanner; `col` is 1-based."""
+
+    def __init__(self, message: str, col: int):
+        super().__init__(message)
+        self.message = message
+        self.col = col
+
+
+def _reference_string(text: str, i: int) -> tuple[str, int]:
+    """Scan the quoted string opening at `text[i]` one character at a time:
+    (unescaped body, index after the closing quote)."""
+    col, n = i + 1, len(text)
+    i += 1
+    buf: list[str] = []
+    while True:
+        if i >= n:
+            raise ScanError("unterminated string", col)
+        c = text[i]
+        if c == "\\":
+            if i + 1 >= n:
+                raise ScanError("unterminated string", col)
+            esc = text[i + 1]
+            if esc not in ('"', "\\"):
+                raise ScanError(f"invalid escape \\{esc}", i + 1)
+            buf.append(esc)
+            i += 2
+            continue
+        if c == '"':
+            return "".join(buf), i + 1
+        buf.append(c)
+        i += 1
+
+
+def scan_outcome(scanner, text: str):
+    """A scanner's tokens, or the (message, column) of its first fault."""
+    try:
+        return scanner(text)
+    except ScanError as exc:
+        return (exc.message, exc.col)
+
+
+def _reference_scan(
+    text: str, punctuation: dict[str, str], keywords: tuple[str, ...] = (), comment: str = ""
+) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, text, column), one character at a time."""
+    tokens: list[tuple[str, str, int]] = []
+    stop = ' \t"' + "".join(punctuation) + comment
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch in " \t":
+            i += 1
+            continue
+        if ch == comment:
+            break
+        col = i + 1
+        if ch in punctuation:
+            tokens.append((punctuation[ch], ch, col))
+            i += 1
+            continue
+        if ch == '"':
+            body, i = _reference_string(text, i)
+            tokens.append(("string", body, col))
+            continue
+        j = i
+        while j < n and text[j] not in stop:
+            j += 1
+        word = text[i:j]
+        if word in ("true", "false"):
+            tokens.append(("boolean", word, col))
+        elif NUMBER_RE.match(word):
+            tokens.append(("number", word, col))
+        elif word in keywords:
+            tokens.append(("keyword", word, col))
+        elif IDENT_RE.match(word):
+            tokens.append(("ident", word, col))
+        elif is_datetime(word):
+            tokens.append(("datetime", word, col))
+        else:
+            raise ScanError(f"bad token {word!r}", col)
+        i = j
+    return tokens
+
+
+def reference_scan_line(line: str) -> list[tuple[str, str, int]]:
+    """OFT tokens of one line: `,` is punctuation and `#` starts a comment."""
+    return _reference_scan(line, {",": "comma"}, comment="#")
+
+
+def reference_scan_query(text: str) -> list[tuple[str, str, int]]:
+    """Query tokens: parentheses are punctuation; and/some/value are keywords."""
+    return _reference_scan(
+        text, {"(": "lparen", ")": "rparen"}, keywords=("and", "some", "value")
+    )

@@ -228,6 +228,25 @@ class TestUsageErrors:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    def test_decode_error_names_the_file(self, corpus_files, tmp_path, capsys):
+        good = tmp_path / "good.oft"
+        good.write_text("class A\n", encoding="utf-8")
+        bad = tmp_path / "bad.oft"
+        bad.write_bytes(b"class A\xff\n")
+        assert run(["check", str(good), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+        assert str(good) not in captured.err and "Traceback" not in captured.err
+
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_bytes(b"id,year\nKh\xe9las,1800\n")
+        out = tmp_path / "combined.oft"
+        argv = ["ingest", *corpus_files, "--csv", str(csv_path), "--class", "Species"]
+        assert run([*argv, "--map", "year=has_date_of_origin", "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {csv_path}: ")
+        assert not out.exists()
+
     def test_non_utf8_csv(self, corpus_files, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_bytes(b"id,year\nKh\xe9las,1800\n")

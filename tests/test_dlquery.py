@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 from ontokit.dlquery import (
+    _QUERY_TOKENS,
     And,
     Named,
     QueryEvalError,
@@ -29,6 +32,7 @@ from ontokit.model import (
     ValueType,
     build_ontology,
 )
+from ontokit.oft import scan
 from ontokit.reasoner import compute_closure, realize
 
 
@@ -89,6 +93,15 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(QuerySyntaxError):
             parse_query("A B")
+
+    def test_unrepresentable_literal_is_a_syntax_error(self):
+        for text, message in [
+            ('p value "a\nb"', "literal may not contain line breaks"),
+            ("p value 1e99999999999999999999", "not a finite decimal: '1e99999999999999999999'"),
+        ]:
+            with pytest.raises(QuerySyntaxError) as exc:
+                parse_query(text)
+            assert (exc.value.message, exc.value.column) == (message, 9)
 
     def test_empty_query(self):
         with pytest.raises(QuerySyntaxError):
@@ -265,3 +278,13 @@ class TestEvalClassModes:
                 parse_query("Tamr and Kimri"), mode,
             )
             assert left == right
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(bruteforce.SCAN_FRAGMENTS + ["\n"]), max_size=12).map("".join))
+def test_query_scanner_matches_reference(text):
+    """The query token pattern gives the character-by-character scanner's
+    tokens, and its first fault with the same message and column."""
+    assert bruteforce.scan_outcome(
+        lambda t: scan(_QUERY_TOKENS, t, bruteforce.ScanError), text
+    ) == bruteforce.scan_outcome(bruteforce.reference_scan_query, text)

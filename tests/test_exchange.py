@@ -215,6 +215,16 @@ class TestIngestCsv:
         axioms, diags = ingest_csv(onto, f"id\nA\n{huge}\n", "Dates", [])
         assert axioms == [] and [(d.code, d.line) for d in diags] == [("E_SYNTAX", 3)]
 
+    def test_malformed_quotes_reported(self):
+        """An unterminated quote at the end of the text, and text after a
+        closing quote, are errors rather than silently read values."""
+        onto = parse_built(INGEST_BASE)
+        for text in ('id,year\nA,"1990', 'id,year\nA,"19"90\n'):
+            axioms, diags = ingest_csv(onto, text, "Dates", [("year", "has_year")])
+            assert axioms == []
+            assert [(d.code, d.line) for d in diags] == [("E_SYNTAX", 2)], text
+            assert diags[0].message.startswith("unreadable CSV: ")
+
     def test_missing_mapped_header(self):
         onto = parse_built(INGEST_BASE)
         _, diags = ingest_csv(onto, "id,x\nA,1\n", "Dates", [("nope", "has_year")])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -163,6 +164,56 @@ class TestBuildOntology:
         )
         assert onto is None
         assert any(d.code == "E_FACET_CLASH" for d in diags)
+
+    def test_ontology_keys_a_dict(self, corpus):
+        other = build_ok([ClassDecl("A")])
+        cache = {corpus: "corpus", other: "other"}
+        assert cache[corpus] == "corpus" and cache[other] == "other"
+        assert corpus != other
+
+    def test_views_equal_a_scan_of_the_axioms(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            onto = bruteforce.random_ontology(rng, n_assertions=30)
+            doubled = build_ok(
+                [replace(ax, line=i + 1) for i, ax in enumerate(onto.axioms * 2)]
+            )
+            for o in (onto, doubled):
+                first = {}
+                for ax in o.axioms:
+                    if isinstance(ax, (ObjPropDecl, DataPropDecl, IndividualDecl)):
+                        first.setdefault((type(ax), ax.name), ax)
+                props = [ax for (t, _), ax in first.items() if t is not IndividualDecl]
+                assert o.facets == {
+                    ax.name: ax.facet for ax in props if isinstance(ax, DataPropDecl)
+                }
+                assert o.domains == {ax.name: ax.domain for ax in props}
+                assert o.ranges == {
+                    ax.name: ax.range for ax in props if isinstance(ax, ObjPropDecl)
+                }
+                assert o.individual_locations == {
+                    ax.name: (ax.file, ax.line)
+                    for (t, _), ax in first.items()
+                    if t is IndividualDecl
+                }
+                types = {}
+                for ax in o.axioms:
+                    if isinstance(ax, IndividualDecl):
+                        types.setdefault(ax.name, set()).update(ax.types)
+                assert o.asserted_types == types
+                assert o.obj_assertions == tuple(
+                    ax for ax in o.axioms if isinstance(ax, ObjAssertion)
+                )
+                assert o.data_assertions == tuple(
+                    ax for ax in o.axioms if isinstance(ax, DataAssertion)
+                )
+                for cls, parents in o.direct_parents.items():
+                    asserted = {
+                        ax.parent
+                        for ax in o.axioms
+                        if isinstance(ax, SubClassOf) and ax.child == cls
+                    }
+                    assert parents == (asserted or {THING})
 
     def test_referential_closure_full_scan(self, corpus):
         for ax in corpus.axioms:

@@ -23,7 +23,7 @@ from ontokit.model import (
     build_ontology,
     canonical_axioms,
 )
-from ontokit.oft import parse_oft, serialize_oft
+from ontokit.oft import _OFT_TOKENS, parse_oft, scan, serialize_oft
 
 
 def parse_clean(source):
@@ -184,6 +184,20 @@ class TestDiagnostics:
         result = parse_oft("class A B\n", "f.oft")
         assert result.diagnostics[0].code == "E_SYNTAX"
 
+    def test_unrepresentable_literal_is_a_diagnostic(self):
+        source = (
+            'attr i p "a\rb"\n'
+            "attr i p 1e99999999999999999999\n"
+            "dataprop p type number allowed 1, 1e99999999999999999999\n"
+        )
+        result = parse_oft(source, "f.oft")
+        assert result.axioms == []
+        assert [(d.code, d.line, d.message) for d in result.diagnostics] == [
+            ("E_SYNTAX", 1, "literal may not contain line breaks (column 10)"),
+            ("E_SYNTAX", 2, "not a finite decimal: '1e99999999999999999999' (column 10)"),
+            ("E_SYNTAX", 3, "not a finite decimal: '1e99999999999999999999' (column 35)"),
+        ]
+
 
 class TestSerialize:
     def test_empty_ontology(self):
@@ -222,3 +236,50 @@ def test_parsing_is_total(source):
     result = parse_oft(source, "fuzz.oft")
     assert isinstance(result.axioms, list)
     assert all(d.line >= 1 for d in result.diagnostics)
+
+
+_LINES = st.lists(st.sampled_from(bruteforce.SCAN_FRAGMENTS), max_size=12).map("".join)
+_STATEMENT_HEADS = [
+    "", "ontology ", "class A sub ", "objprop p domain A range ",
+    "dataprop p type number allowed ", "dataprop p domain A type string allowed ",
+    "individual i type ", "rel i p ", "attr i p ",
+]
+_SOURCES = st.lists(
+    st.builds(str.__add__, st.sampled_from(_STATEMENT_HEADS), _LINES)
+).map("\n".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_LINES)
+def test_scanner_matches_reference(line):
+    """The token pattern gives the character-by-character scanner's tokens,
+    and its first fault with the same message and column."""
+    assert bruteforce.scan_outcome(
+        lambda text: scan(_OFT_TOKENS, text, bruteforce.ScanError), line
+    ) == bruteforce.scan_outcome(bruteforce.reference_scan_line, line)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SOURCES)
+def test_parsing_is_total_on_statement_text(source):
+    """Statement-shaped text never raises; each diagnostic points into its line."""
+    result = parse_oft(source, "fuzz.oft")
+    lines = source.split("\n")
+    for d in result.diagnostics:
+        assert d.code in ("E_SYNTAX", "E_TYPE_MISMATCH")
+        column = int(d.message.rsplit("(column ", 1)[1].rstrip(")"))
+        assert 1 <= column <= len(lines[d.line - 1]) + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 20), st.integers(0, 30))
+def test_serialize_parse_fixpoint(seed, n_classes, n_assertions):
+    onto = bruteforce.random_ontology(
+        random.Random(seed), n_classes=n_classes, n_assertions=n_assertions
+    )
+    text = serialize_oft(onto)
+    result = parse_oft(text, "<roundtrip>")
+    assert result.diagnostics == []
+    rebuilt, diags = build_ontology(result.ontology_name, result.axioms)
+    assert rebuilt is not None, diags
+    assert serialize_oft(rebuilt) == text
