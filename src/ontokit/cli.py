@@ -33,15 +33,22 @@ def _emit(diags: Iterable[Diagnostic]) -> None:
         print(d.render(), file=sys.stderr)
 
 
-class _UnreadableInput(Exception):
-    """An input file that is not UTF-8 text."""
+class _BadFile(Exception):
+    """An input file that is not UTF-8 text, or a path with a NUL byte."""
 
 
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise _UnreadableInput(f"{path}: {exc}") from None
+    except ValueError as exc:  # UnicodeDecodeError, or "embedded null byte"
+        raise _BadFile(f"{path}: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except ValueError as exc:  # "embedded null byte"
+        raise _BadFile(f"{path}: {exc}") from None
 
 
 def _load(paths: Sequence[str]) -> tuple[Optional[Ontology], list[Diagnostic]]:
@@ -130,7 +137,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
         _emit(second_diags)
         return 1
     report = merge(first, second, first.name)
-    Path(args.output).write_text(serialize_oft(report.merged), encoding="utf-8")
+    _write_text(args.output, serialize_oft(report.merged))
     _emit(report.conflicts)
     errors = sum(1 for d in report.conflicts if d.severity is Severity.ERROR)
     return 1 if errors else 0
@@ -169,7 +176,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if combined is None:
         _emit(build_diags)
         return 1
-    Path(args.output).write_text(serialize_oft(combined), encoding="utf-8")
+    _write_text(args.output, serialize_oft(combined))
     return 0
 
 
@@ -227,7 +234,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (OSError, _UnreadableInput) as exc:
+    except (OSError, _BadFile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,14 @@ _QUERY_TOKENS = token_pattern(
     {"(": "lparen", ")": "rparen"}, keywords=("and", "some", "value")
 )
 
+#: The deepest a query may nest `some` fillers and parentheses; a filler in
+#: parentheses is one level, so `format_expr`'s output nests as deep as its
+#: input. Parsing or normalizing (`format_expr`) one level takes at most four
+#: steps of the interpreter's recursion count, evaluating it two, so this
+#: depth uses under half of the default limit of 1 000 and leaves the rest to
+#: the caller; written queries nest a few levels.
+MAX_NESTING = 100
+
 
 class QueryMode(Enum):
     INSTANCES = "instances"
@@ -131,23 +139,26 @@ class _Parser:
         tok = self.peek()
         return QuerySyntaxError(message, tok[2] if tok else self.end_col)
 
-    def expr(self) -> ClassExpr:
-        parts = [self.term()]
+    def expr(self, depth: int) -> ClassExpr:
+        parts = [self.term(depth)]
         while True:
             tok = self.peek()
             if tok is None or tok[:2] != ("keyword", "and"):
                 break
             self.pos += 1
-            parts.append(self.term())
+            parts.append(self.term(depth))
         return make_and(parts)
 
-    def term(self) -> ClassExpr:
+    def term(self, depth: int) -> ClassExpr:
+        """A term nested `depth` levels deep."""
+        if depth > MAX_NESTING:
+            raise self._fail(f"query nests deeper than {MAX_NESTING} levels")
         tok = self.peek()
         if tok is None:
             raise self._fail("expected a class name or '('")
         if tok[0] == "lparen":
             self.pos += 1
-            inner = self.expr()
+            inner = self.expr(depth + 1)
             closing = self.peek()
             if closing is None or closing[0] != "rparen":
                 raise self._fail("expected ')'")
@@ -160,7 +171,9 @@ class _Parser:
         nxt = self.peek()
         if nxt is not None and nxt[:2] == ("keyword", "some"):
             self.pos += 1
-            return Some(name, self.term())
+            filler = self.peek()
+            in_parens = filler is not None and filler[0] == "lparen"
+            return Some(name, self.term(depth if in_parens else depth + 1))
         if nxt is not None and nxt[:2] == ("keyword", "value"):
             self.pos += 1
             val = self.peek()
@@ -184,11 +197,12 @@ class _Parser:
 def parse_query(text: str) -> ClassExpr:
     """Parse query text into a normalized expression.
 
-    Raises QuerySyntaxError with a 1-based column on malformed input; name
-    resolution is deferred to evaluation.
+    Raises QuerySyntaxError with a 1-based column on malformed input and on
+    nesting deeper than `MAX_NESTING`; name resolution is deferred to
+    evaluation.
     """
     parser = _Parser(text)
-    expr = parser.expr()
+    expr = parser.expr(0)
     trailing = parser.peek()
     if trailing is not None:
         raise QuerySyntaxError(f"unexpected token {trailing[1]!r}", trailing[2])

@@ -199,6 +199,15 @@ def conforms(value: Literal, value_type: ValueType) -> bool:
     return value.value_type is value_type
 
 
+class FacetError(ValueError):
+    """An inconsistent facet; `code` is the diagnostic code it reports as."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+        self.message = message
+
+
 @dataclass(frozen=True)
 class FacetSpec:
     """Value constraints attached to a data property."""
@@ -208,19 +217,23 @@ class FacetSpec:
     cardinality: Cardinality = Cardinality.SINGLE
 
     def __post_init__(self) -> None:
+        """Raise `FacetError` at the first allowed value that repeats an
+        earlier one or does not conform to the value type."""
         if self.allowed is not None:
             if not self.allowed:
-                raise ValueError("allowed values must be non-empty when present")
-            keys = [v.key() for v in self.allowed]
-            if len(set(keys)) != len(keys):
-                raise ValueError("allowed values must be duplicate-free")
+                raise FacetError(E_SYNTAX, "allowed values must be non-empty when present")
+            seen = set()
             for v in self.allowed:
+                if v.key() in seen:
+                    raise FacetError(E_SYNTAX, f"duplicate allowed value {v.lexical!r}")
+                seen.add(v.key())
                 if not conforms(v, self.value_type):
-                    raise ValueError(
-                        f"allowed value {v.lexical!r} does not conform to {self.value_type.value}"
+                    raise FacetError(
+                        E_TYPE_MISMATCH,
+                        f"allowed value {v.lexical!r} does not conform to {self.value_type.value}",
                     )
         elif self.value_type is ValueType.ENUM:
-            raise ValueError("enum facet requires an allowed-values list")
+            raise FacetError(E_SYNTAX, "enum type requires an allowed-values list")
 
     def permits(self, value: Literal) -> bool:
         return self.allowed is None or value in self.allowed

@@ -8,8 +8,8 @@ no input ever raises.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Iterator, Optional
 
 from .model import (
     Axiom,
@@ -19,7 +19,7 @@ from .model import (
     DataPropDecl,
     Diagnostic,
     E_SYNTAX,
-    E_TYPE_MISMATCH,
+    FacetError,
     FacetSpec,
     IDENT,
     IndividualDecl,
@@ -32,7 +32,6 @@ from .model import (
     ValueType,
     build_ontology,
     canonical_axioms,
-    conforms,
     error,
     is_datetime,
     sort_diagnostics,
@@ -60,6 +59,27 @@ _SPECIAL_KINDS = frozenset({"end", "string", "word", "quoted", "closed"})
 _INVALID_ESCAPE = re.compile(r'(?:[^\\]|\\["\\])*\\([^"\\])', re.S)
 _ESCAPE = re.compile(r"\\(.)", re.S)
 
+# The lexical syntax that the token patterns and the OFT statement pattern
+# share. `stop` is a language's punctuation and comment characters, escaped.
+_BOOLEANS = "true|false"
+
+
+def _word_end(stop: str) -> str:
+    """Lookahead for the end of a word: a blank, a quote, a stop character
+    or the end of the text."""
+    return rf'(?=[ \t"{stop}]|\Z)'
+
+
+def _ident(stop: str, keywords: tuple[str, ...] = ()) -> str:
+    """An identifier that is not a reserved word; a word end must follow it."""
+    reserved = "|".join((_BOOLEANS,) + keywords)
+    return rf"(?!(?:{reserved}){_word_end(stop)}){IDENT}"
+
+
+def _word(kind: str, stop: str) -> str:
+    """A whole word of any other shape, in group `kind`."""
+    return rf'(?P<{kind}>[^ \t"{stop}]+)'
+
 
 def token_pattern(
     punctuation: dict[str, str], keywords: tuple[str, ...] = (), comment: str = ""
@@ -76,20 +96,19 @@ def token_pattern(
     blanks at the end of the text, so no character is skipped unseen.
     """
     stop = re.escape("".join(punctuation) + comment)
-    end = rf'(?=[ \t"{stop}]|\Z)'
-    reserved = "|".join(("true", "false") + keywords)
+    end = _word_end(stop)
     alternatives = [
-        rf"(?P<ident>(?!(?:{reserved}){end}){IDENT}){end}",
+        rf"(?P<ident>{_ident(stop, keywords)}){end}",
         *(f"(?P<{kind}>{re.escape(ch)})" for ch, kind in punctuation.items()),
         r'"(?P<string>[^"\\]*)"',
         r'"(?P<quoted>[^"\\]*(?:\\.[^"\\]*)*)(?P<closed>")?',
-        rf"(?P<boolean>true|false){end}",
+        rf"(?P<boolean>{_BOOLEANS}){end}",
     ]
     if keywords:
         alternatives.append(rf"(?P<keyword>{'|'.join(keywords)}){end}")
     alternatives += [
         rf"(?P<number>{NUMBER}){end}",
-        rf'(?P<word>[^ \t"{stop}]+)',
+        _word("word", stop),
         rf"(?P<end>{re.escape(comment) + '|' if comment else ''}\Z)",
     ]
     return re.compile(rf"[ \t]*(?:{'|'.join(alternatives)})", re.S)
@@ -128,7 +147,61 @@ def scan(
     return tokens
 
 
-_OFT_TOKENS = token_pattern({",": "comma"}, comment="#")
+_OFT_PUNCTUATION = {",": "comma"}
+_OFT_COMMENT = "#"
+_OFT_TOKENS = token_pattern(_OFT_PUNCTUATION, comment=_OFT_COMMENT)
+
+
+def _statement_pattern() -> re.Pattern[str]:
+    """Compile the pattern of a whole OFT line that is blank, a comment, or
+    a well-formed `rel`, `attr`, `individual` or `class` statement.
+
+    Words, literals and separators are those of `_OFT_TOKENS`. A string may
+    hold only the escapes `\\"` and `\\\\`; a value word that is neither a
+    boolean nor a number is taken as a date-time, which `Literal` checks.
+    The line's `Match.lastgroup` names what it holds: `rel`, `individual`,
+    `class`, None for a blank line or a comment, and for an `attr` line,
+    which has no group of its own, the literal kind of its value.
+    """
+    stop = re.escape("".join(_OFT_PUNCTUATION) + _OFT_COMMENT)
+    end = _word_end(stop)
+    # A blank, a comma or the end of the line follows every name, so each
+    # is a whole word.
+    name = _ident(stop)
+    names = rf"{name}(?:[ \t]*,[ \t]*{name})*"
+    value = "|".join([
+        r'"(?P<string>[^"\\]*(?:\\["\\][^"\\]*)*)"',
+        rf"(?P<boolean>{_BOOLEANS}){end}",
+        rf"(?P<number>{NUMBER}){end}",
+        _word("datetime", stop),
+    ])
+    statement = "|".join([
+        rf"(?P<rel>rel[ \t]+(?P<rel_subject>{name})[ \t]+(?P<rel_prop>{name})"
+        rf"[ \t]+(?P<rel_object>{name}))",
+        rf"attr[ \t]+(?P<attr_subject>{name})[ \t]+(?P<attr_prop>{name})[ \t]+(?:{value})",
+        rf"(?P<individual>individual[ \t]+(?P<individual_name>{name})[ \t]+type"
+        rf"[ \t]+(?P<types>{names}))",
+        rf"(?P<class>class[ \t]+(?P<class_name>{name})(?:[ \t]+sub[ \t]+(?P<parents>{names}))?)",
+    ])
+    comment = re.escape(_OFT_COMMENT)
+    return re.compile(rf"[ \t]*(?:{statement})?[ \t]*(?:{comment}.*)?", re.S)
+
+
+_STATEMENT = _statement_pattern()
+
+
+def _names(text: str) -> list[str]:
+    """The identifiers of a comma-separated list the statement pattern matched."""
+    return [n.strip(" \t") for n in text.split(",")]
+
+
+def _lines(source: str) -> Iterator[str]:
+    """The lines of `source` without their LF or CRLF ends."""
+    lines = source.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    for raw in lines:
+        yield raw[:-1] if raw.endswith("\r") else raw
 
 
 @dataclass
@@ -225,48 +298,77 @@ def _parse_dataprop(cur: _Cursor, file_name: str, ln: int) -> DataPropDecl:
         while cur.at_comma():
             cur.pos += 1
             allowed.append(_take_literal(cur))
-        seen = set()
-        for lit in allowed:
-            if lit.key() in seen:
-                raise _LineError(f"duplicate allowed value {lit.lexical!r}", vt_col)
-            seen.add(lit.key())
-            if not conforms(lit, vtype):
-                raise _LineError(
-                    f"allowed value {lit.lexical!r} does not conform to {vtype.value}",
-                    vt_col,
-                    code=E_TYPE_MISMATCH,
-                )
-    elif vtype is ValueType.ENUM:
-        raise _LineError("enum type requires an allowed-values list", vt_col)
-    card = Cardinality.SINGLE
+    # The facet is checked before the rest of the line is read, so its fault
+    # is the one reported when the line has several.
+    try:
+        facet = FacetSpec(vtype, tuple(allowed) if allowed is not None else None)
+    except FacetError as exc:
+        raise _LineError(exc.message, vt_col, exc.code) from None
     if cur.at_keyword("card"):
         cur.pos += 1
         _, card_text, card_col = cur.take("ident", "'single' or 'multiple'")
         if card_text not in ("single", "multiple"):
             raise _LineError(f"expected 'single' or 'multiple', got {card_text!r}", card_col)
-        card = Cardinality(card_text)
+        facet = replace(facet, cardinality=Cardinality(card_text))
     cur.expect_end()
-    facet = FacetSpec(vtype, tuple(allowed) if allowed is not None else None, card)
     return DataPropDecl(name, facet, domain, file=file_name, line=ln)
 
 
-def parse_oft(source: str, file_name: str = "<input>") -> ParseResult:
-    """Parse OFT text into axioms with source locations. Never raises."""
-    name = "unnamed"
-    have_header = False
-    declared_classes: set[str] = set()
-    axioms: list[Axiom] = []
-    diags: list[Diagnostic] = []
+class _Reader:
+    """What parsing one OFT file has found so far."""
 
-    lines = source.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for ln, raw in enumerate(lines, 1):
-        line = raw[:-1] if raw.endswith("\r") else raw
+    __slots__ = ("file", "name", "have_header", "declared_classes", "axioms", "diagnostics")
+
+    def __init__(self, file_name: str):
+        self.file = file_name
+        self.name = "unnamed"
+        self.have_header = False
+        self.declared_classes: set[str] = set()
+        self.axioms: list[Axiom] = []
+        self.diagnostics: list[Diagnostic] = []
+
+    def class_line(self, cls: str, parents: list[str], ln: int) -> None:
+        """A `class` line declares its class once per file."""
+        if cls not in self.declared_classes:
+            self.declared_classes.add(cls)
+            self.axioms.append(ClassDecl(cls, file=self.file, line=ln))
+        self.axioms.extend(SubClassOf(cls, p, file=self.file, line=ln) for p in parents)
+
+    def matched_line(self, m: re.Match[str], ln: int) -> bool:
+        """Add the axioms of a line `_STATEMENT` matched; False, with nothing
+        added, when its literal is not representable."""
+        head = m.lastgroup
+        if head == "rel":
+            subject, prop, obj = m.group("rel_subject", "rel_prop", "rel_object")
+            self.axioms.append(ObjAssertion(subject, prop, obj, file=self.file, line=ln))
+        elif head == "individual":
+            ind, types = m["individual_name"], tuple(_names(m["types"]))
+            self.axioms.append(IndividualDecl(ind, types, file=self.file, line=ln))
+        elif head == "class":
+            parents = m["parents"]
+            self.class_line(m["class_name"], _names(parents) if parents else [], ln)
+        elif head is not None:  # an `attr` line: `head` is its value's kind
+            lexical = m[head]
+            if head == "string" and "\\" in lexical:
+                lexical = _ESCAPE.sub(r"\1", lexical)
+            try:
+                value = Literal(LITERAL_KINDS[head], lexical)
+            except ValueError:  # a line break, a number out of range, not a date
+                return False
+            self.axioms.append(
+                DataAssertion(m["attr_subject"], m["attr_prop"], value, file=self.file, line=ln)
+            )
+        return True
+
+    def token_line(self, line: str, ln: int) -> None:
+        """Parse one line through the token path: its axioms, or the
+        diagnostic of its first fault. It reads every kind of statement and
+        is the only code that reports faults; the statement pattern is a
+        shortcut past it for well-formed lines."""
         try:
             tokens = scan(_OFT_TOKENS, line, _LineError)
             if not tokens:
-                continue
+                return
             kind, head, head_col = tokens[0]
             if kind != "ident":
                 raise _LineError(f"expected statement keyword, got {head!r}", head_col)
@@ -276,19 +378,19 @@ def parse_oft(source: str, file_name: str = "<input>") -> ParseResult:
                 prop = cur.take("ident", "property")[1]
                 obj = cur.take("ident", "object")[1]
                 cur.expect_end()
-                axioms.append(ObjAssertion(subj, prop, obj, file=file_name, line=ln))
+                self.axioms.append(ObjAssertion(subj, prop, obj, file=self.file, line=ln))
             elif head == "attr":
                 subj = cur.take("ident", "subject")[1]
                 prop = cur.take("ident", "property")[1]
                 value = _take_literal(cur)
                 cur.expect_end()
-                axioms.append(DataAssertion(subj, prop, value, file=file_name, line=ln))
+                self.axioms.append(DataAssertion(subj, prop, value, file=self.file, line=ln))
             elif head == "individual":
                 ind = cur.take("ident", "individual name")[1]
                 cur.take_keyword("type")
                 types = _take_ident_list(cur, "type class")
                 cur.expect_end()
-                axioms.append(IndividualDecl(ind, tuple(types), file=file_name, line=ln))
+                self.axioms.append(IndividualDecl(ind, tuple(types), file=self.file, line=ln))
             elif head == "class":
                 cls = cur.take("ident", "class name")[1]
                 parents: list[str] = []
@@ -296,10 +398,7 @@ def parse_oft(source: str, file_name: str = "<input>") -> ParseResult:
                     cur.pos += 1
                     parents = _take_ident_list(cur, "parent class")
                 cur.expect_end()
-                if cls not in declared_classes:
-                    declared_classes.add(cls)
-                    axioms.append(ClassDecl(cls, file=file_name, line=ln))
-                axioms.extend(SubClassOf(cls, p, file=file_name, line=ln) for p in parents)
+                self.class_line(cls, parents, ln)
             elif head == "objprop":
                 prop = cur.take("ident", "property name")[1]
                 domain = rng = None
@@ -310,23 +409,37 @@ def parse_oft(source: str, file_name: str = "<input>") -> ParseResult:
                     cur.pos += 1
                     rng = cur.take("ident", "range class")[1]
                 cur.expect_end()
-                axioms.append(ObjPropDecl(prop, domain, rng, file=file_name, line=ln))
+                self.axioms.append(ObjPropDecl(prop, domain, rng, file=self.file, line=ln))
             elif head == "dataprop":
-                axioms.append(_parse_dataprop(cur, file_name, ln))
+                self.axioms.append(_parse_dataprop(cur, self.file, ln))
             elif head == "ontology":
                 tok = cur.take("ident", "ontology name")
                 cur.expect_end()
-                if have_header:
+                if self.have_header:
                     raise _LineError("duplicate ontology header", head_col)
-                name = tok[1]
-                have_header = True
+                self.name = tok[1]
+                self.have_header = True
             else:
                 raise _LineError(f"unknown statement {head!r}", head_col)
         except _LineError as exc:
-            diags.append(
-                error(exc.code, f"{exc.message} (column {exc.col})", file_name, ln)
+            self.diagnostics.append(
+                error(exc.code, f"{exc.message} (column {exc.col})", self.file, ln)
             )
-    return ParseResult(name, axioms, diags)
+
+
+def parse_oft(source: str, file_name: str = "<input>") -> ParseResult:
+    """Parse OFT text into axioms with source locations. Never raises.
+
+    A line that `_STATEMENT` matches builds its axioms from the match. Every
+    other line, and a matched line whose literal is not representable, goes
+    through the token path, which finds the same axioms or reports the fault.
+    """
+    reader = _Reader(file_name)
+    for ln, line in enumerate(_lines(source), 1):
+        m = _STATEMENT.fullmatch(line)
+        if m is None or not reader.matched_line(m, ln):
+            reader.token_line(line, ln)
+    return ParseResult(reader.name, reader.axioms, reader.diagnostics)
 
 
 def serialize_oft(o: Ontology) -> str:

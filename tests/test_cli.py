@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import bruteforce
 import ontokit
 from ontokit.cli import run
+from ontokit.dlquery import MAX_NESTING
 from ontokit.corpus import corpus_paths
 
 
@@ -108,6 +114,13 @@ class TestQuery:
         )
         assert code == 1
         assert "E_UNSUPPORTED_MODE" in capsys.readouterr().err
+
+    def test_deep_nesting_is_a_diagnostic(self, corpus_files, capsys):
+        for query in ["(" * 5000 + "Dates" + ")" * 5000, "has_benefits some " * 3000 + "Health"]:
+            assert run(["query", *corpus_files, "-q", query]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"E_SYNTAX query nests deeper than {MAX_NESTING} levels" in captured.err
 
 
 class TestStats:
@@ -247,6 +260,25 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith(f"error: {csv_path}: ")
         assert not out.exists()
 
+    def test_nul_byte_in_path(self, corpus_files, tmp_path, capsys):
+        bad = str(tmp_path / "a\x00b.oft")
+        first = write(tmp_path / "first.oft", "class A\n")
+        second = write(tmp_path / "second.oft", "class B\n")
+        csv_path = write(tmp_path / "rows.csv", "id,year\nKhalas,1800\n")
+        out = str(tmp_path / "combined.oft")
+        ingest = ["ingest", *corpus_files, "--class", "Species"]
+        ingest += ["--map", "year=has_date_of_origin"]
+        for argv in [
+            ["check", bad],
+            ["merge", first, second, "-o", bad],
+            [*ingest, "--csv", bad, "-o", out],
+            [*ingest, "--csv", csv_path, "-o", bad],
+        ]:
+            assert run(argv) == 2
+            assert capsys.readouterr().err == f"error: {bad}: embedded null byte\n"
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["first.oft", "rows.csv", "second.oft"]
+
     def test_non_utf8_csv(self, corpus_files, tmp_path, capsys):
         csv_path = tmp_path / "bad.csv"
         csv_path.write_bytes(b"id,year\nKh\xe9las,1800\n")
@@ -281,3 +313,75 @@ def test_output_independent_of_hash_seed(corpus_files):
         outputs.append([(r.stdout, r.stderr) for r in runs])
     assert outputs[0] == outputs[1]
     assert all(out for out, _ in outputs[0])
+
+
+_CORPUS_LINES = [
+    line for path in corpus_paths() for line in path.read_text(encoding="utf-8").splitlines()
+]
+# Text without "/", so every file a run names or writes is in its directory.
+_WORDS = st.text(max_size=6).filter(lambda s: "/" not in s)
+_FILES = st.one_of(
+    st.just("a.oft"), st.just("a.oft"), st.just("b.oft"),
+    st.sampled_from(["rows.csv", "missing.oft", ".", "a\x00b.oft"]), _WORDS,
+)
+_QUERIES = st.sampled_from(
+    ["Date_fruit", "A", "p some A", "has_benefits some Health", "(", "p value 1"]
+) | st.text(max_size=12)
+_OFT_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.lists(
+        st.sampled_from(_CORPUS_LINES) | st.sampled_from(bruteforce.SCAN_FRAGMENTS), max_size=40
+    ).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.just("\n".join(_CORPUS_LINES).encode("utf-8")),
+)
+_CSV_TEXT = st.builds(
+    str.__add__,
+    st.sampled_from(["", "id,year\n", "id,name,year\n", "id\n"]),
+    st.text(st.sampled_from('ab1,"\r\n\\x') | st.characters(), max_size=40),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A command line: a subcommand with files and options drawn from the
+    run's files and random text, or random words alone."""
+    files = draw(st.lists(_FILES, min_size=1, max_size=3))
+    out = draw(st.sampled_from(["out.oft", "out.oft", "a.oft", "\x00"]) | _WORDS)
+    commands = ["check", "query", "export-dot", "stats", "merge", "ingest", None]
+    command = draw(st.sampled_from(commands))
+    if command == "query":
+        mode = draw(st.sampled_from(["instances", "direct-subclasses", "superclasses", "x"]))
+        return ["query", *files, "-q", draw(_QUERIES), "-m", mode]
+    if command == "export-dot":
+        return ["export-dot", *files, *draw(st.sampled_from([[], ["--inferred"]]))]
+    if command == "merge":
+        return ["merge", *(files * 2)[:2], "-o", out]
+    if command == "ingest":
+        mapping = draw(st.sampled_from(["year=has_date_of_origin", "id=p", "=", ""]) | _WORDS)
+        target = draw(st.sampled_from(["Species", "Thing"]) | _WORDS)
+        options = ["--csv", "rows.csv", "--class", target, "--map", mapping, "-o", out]
+        return ["ingest", *files, *options]
+    if command is not None:
+        return [command, *files]
+    words = _WORDS | st.sampled_from(["check", "-q", "-o", "--csv", "-h"])
+    return draw(st.lists(words, max_size=6))
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(argv=_argv(), a=_OFT_BYTES, b=_OFT_BYTES, csv_text=_CSV_TEXT)
+def test_run_is_total(tmp_path, monkeypatch, argv, a, b, csv_text):
+    """`run` never raises on any argv, `.oft` bytes or CSV text: every run
+    exits 0, 1 or 2 and prints no traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.oft").write_bytes(a)
+    (tmp_path / "b.oft").write_bytes(b)
+    (tmp_path / "rows.csv").write_text(csv_text, encoding="utf-8", newline="")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import bruteforce
 from ontokit.dlquery import (
     _QUERY_TOKENS,
+    MAX_NESTING,
     And,
     Named,
     QueryEvalError,
@@ -26,7 +27,10 @@ from ontokit.dlquery import (
 )
 from ontokit.model import (
     ClassDecl,
+    IndividualDecl,
     Literal,
+    ObjAssertion,
+    ObjPropDecl,
     SubClassOf,
     THING,
     ValueType,
@@ -102,6 +106,28 @@ class TestParse:
             with pytest.raises(QuerySyntaxError) as exc:
                 parse_query(text)
             assert (exc.value.message, exc.value.column) == (message, 9)
+
+    def test_nesting_limit(self):
+        """Parentheses and `some` fillers nest up to MAX_NESTING levels; past
+        it, the first token of the level too deep is the fault."""
+        parens = "(" * MAX_NESTING + "A" + ")" * MAX_NESTING
+        assert parse_query(parens) == Named("A")
+        somes = "p some " * MAX_NESTING + "A"
+        expr = parse_query(somes)
+        # format_expr puts each filler but the last in parentheses.
+        assert parse_query(format_expr(expr)) == expr
+        filled = "p some (" * MAX_NESTING + "A" + ")" * MAX_NESTING
+        assert parse_query(filled) == expr
+        message = f"query nests deeper than {MAX_NESTING} levels"
+        for text, column in [
+            ("(" + parens + ")", MAX_NESTING + 2),
+            ("p some " + somes, len("p some ") * (MAX_NESTING + 1) + 1),
+            ("p some (" + filled + ")", len("p some (") * (MAX_NESTING + 1) + 1),
+            ("(" * (MAX_NESTING + 1), MAX_NESTING + 2),
+        ]:
+            with pytest.raises(QuerySyntaxError) as exc:
+                parse_query(text)
+            assert (exc.value.message, exc.value.column) == (message, column)
 
     def test_empty_query(self):
         with pytest.raises(QuerySyntaxError):
@@ -189,6 +215,25 @@ class TestEvalInstances:
                     eval_query(corpus, corpus_closure, corpus_realization, Named(parent), QueryMode.INSTANCES)
                 )
                 assert child_inst <= parent_inst
+
+
+    def test_nesting_limit_evaluates(self):
+        onto, closure, realization = setup_ontology(
+            [
+                ClassDecl("A"),
+                ObjPropDecl("p"),
+                IndividualDecl("i", ("A",)),
+                ObjAssertion("i", "p", "i"),
+            ]
+        )
+        half = MAX_NESTING // 2
+        for text in [
+            "p some " * MAX_NESTING + "A",
+            "(A and p some " * half + "A" + ")" * half,
+        ]:
+            expr = parse_query(text)
+            assert parse_query(format_expr(expr)) == expr
+            assert eval_query(onto, closure, realization, expr, QueryMode.INSTANCES) == ["i"]
 
 
 class TestEvalClassModes:

@@ -23,7 +23,7 @@ from ontokit.model import (
     build_ontology,
     canonical_axioms,
 )
-from ontokit.oft import _OFT_TOKENS, parse_oft, scan, serialize_oft
+from ontokit.oft import _OFT_TOKENS, _Reader, _lines, parse_oft, scan, serialize_oft
 
 
 def parse_clean(source):
@@ -167,6 +167,23 @@ class TestDiagnostics:
         assert result.axioms == []
         assert result.diagnostics[0].code == "E_SYNTAX"
 
+    def test_facet_faults_in_value_order(self):
+        """Each allowed value is checked for a repeat, then for conformance,
+        before the rest of the line is read."""
+        source = (
+            'dataprop p type number allowed "x", 1, 1\n'
+            'dataprop q type number allowed 1, 1, "x"\n'
+            "dataprop r type enum card bogus\n"
+            "dataprop s type number allowed 1, 1.0 card bogus\n"
+        )
+        result = parse_oft(source, "f.oft")
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("E_TYPE_MISMATCH", "allowed value 'x' does not conform to number (column 17)"),
+            ("E_SYNTAX", "duplicate allowed value '1' (column 17)"),
+            ("E_SYNTAX", "enum type requires an allowed-values list (column 17)"),
+            ("E_SYNTAX", "duplicate allowed value '1.0' (column 17)"),
+        ]
+
     def test_duplicate_header(self):
         result = parse_oft("ontology a\nontology b\n", "f.oft")
         assert result.ontology_name == "a"
@@ -283,3 +300,78 @@ def test_serialize_parse_fixpoint(seed, n_classes, n_assertions):
     rebuilt, diags = build_ontology(result.ontology_name, result.axioms)
     assert rebuilt is not None, diags
     assert serialize_oft(rebuilt) == text
+
+
+def token_path_parse(source, file_name):
+    """`parse_oft` with every line read by the token path alone."""
+    reader = _Reader(file_name)
+    for ln, line in enumerate(_lines(source), 1):
+        reader.token_line(line, ln)
+    return reader.name, reader.axioms, reader.diagnostics
+
+
+_BLANKS = st.sampled_from([" "] * 6 + ["\t", "  ", " \t ", "\r"])
+_NAMES = st.sampled_from(["A", "b_1", "x9", "_", "A", "b_1", "x9", "_"] + [
+    "truex", "falsey", "true", "false", "type", "sub", "rel", "class",
+])
+_COMMAS = st.sampled_from([",", ", ", " ,", "\t,\t", ",,", ", ,", " "])
+_VALUES = st.sampled_from([
+    '"x"', '""', '"a b"', '"#"', '"a,b"', '"a\\"b"', '"a\\\\b"', '"\\\\"', '"\t"',
+    "true", "false", "true", "false", "1", "-2.5", "+0", "1e5", "1.5e-3", "1E+2",
+    "2020-01-01", "2021-05-01T12:30:00Z", "2020-02-29T12:30:00",
+    '"a\\nb"', '"a\rb"', '"open', "truex", "9e99999999999999999999", "1.", ".5",
+    "2020-02-30", "2020-01-01T", "2020-1-1", "A",
+])
+_TRAILERS = st.sampled_from(["", " ", "\t", "#", " # c", '#"x', "\r", " x"])
+
+
+@st.composite
+def _statement_lines(draw):
+    """A line of one of the statements the statement pattern reads, from
+    words, separators and literals that are mostly well formed."""
+    def names():
+        items = [draw(_NAMES)]
+        for _ in range(draw(st.integers(0, 2))):
+            items += [draw(_COMMAS), draw(_NAMES)]
+        return "".join(items)
+
+    head = draw(st.sampled_from(["rel", "attr", "attr", "attr", "individual", "class"]))
+    if head == "rel":
+        words = [draw(_NAMES), draw(_NAMES), draw(_NAMES)]
+    elif head == "attr":
+        words = [draw(_NAMES), draw(_NAMES), draw(_VALUES)]
+    elif head == "individual":
+        words = [draw(_NAMES), "type", names()]
+    else:
+        words = [draw(_NAMES)] + (["sub", names()] if draw(st.booleans()) else [])
+    line = draw(st.sampled_from(["", "", " ", "\t"])) + head
+    for word in words:
+        line += draw(_BLANKS) + word
+    line += draw(_TRAILERS)
+    # Now and then, one more piece anywhere in the line.
+    piece = draw(st.sampled_from([""] * 40 + bruteforce.SCAN_FRAGMENTS))
+    at = draw(st.integers(0, len(line)))
+    return line[:at] + piece + line[at:]
+
+
+_MIXED_SOURCES = st.lists(
+    st.one_of(
+        _statement_lines(),
+        _statement_lines(),
+        _statement_lines(),
+        st.builds(str.__add__, st.sampled_from(_STATEMENT_HEADS), _LINES),
+    ),
+    max_size=8,
+).map("\n".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_MIXED_SOURCES)
+def test_statement_pattern_matches_token_path(source):
+    """The statement pattern is only a faster way to the token path's result:
+    the same header, axioms (class, fields, file and line) and diagnostics."""
+    result = parse_oft(source, "f.oft")
+    name, axioms, diagnostics = token_path_parse(source, "f.oft")
+    assert result.ontology_name == name
+    assert [repr(ax) for ax in result.axioms] == [repr(ax) for ax in axioms]
+    assert result.diagnostics == diagnostics
