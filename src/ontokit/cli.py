@@ -171,7 +171,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         _emit(ingest_diags)
         return 1
     combined, build_diags = build_ontology(
-        onto.name, list(onto.axioms) + axioms, onto.provenance + (args.csv,)
+        onto.name, axioms, onto.provenance + (args.csv,), base=onto
     )
     if combined is None:
         _emit(build_diags)
@@ -241,3 +241,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

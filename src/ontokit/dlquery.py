@@ -11,9 +11,9 @@ intersections of named classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .model import E_SYNTAX, E_UNKNOWN_REF, E_UNSUPPORTED_MODE, Kind, Literal, Ontology
 from .oft import LITERAL_KINDS, Token, scan, token_pattern
@@ -41,29 +41,37 @@ class QueryMode(Enum):
 
 
 @dataclass(frozen=True)
-class Named:
+class _Expr:
+    """Base of the expression nodes: `format_expr` keeps a node's text here.
+    It is a field, not a `__dict__` entry, so attribute reads stay fast."""
+
+    _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class Named(_Expr):
     name: str
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Expr):
     parts: tuple["ClassExpr", ...]
 
 
 @dataclass(frozen=True)
-class Some:
+class Some(_Expr):
     prop: str
     filler: "ClassExpr"
 
 
 @dataclass(frozen=True)
-class ValueObj:
+class ValueObj(_Expr):
     prop: str
     individual: str
 
 
 @dataclass(frozen=True)
-class ValueData:
+class ValueData(_Expr):
     prop: str
     value: Literal
 
@@ -91,7 +99,20 @@ class QueryEvalError(ValueError):
 
 
 def format_expr(expr: ClassExpr) -> str:
-    """Render an expression in re-parsable query syntax."""
+    """Render an expression in re-parsable query syntax.
+
+    A node is immutable, so it keeps its text, and a parent's text reuses
+    its parts': formatting every level of a nested query renders each node
+    once.
+    """
+    text = expr._text
+    if text is None:
+        text = _render(expr)
+        object.__setattr__(expr, "_text", text)
+    return text
+
+
+def _render(expr: ClassExpr) -> str:
     if isinstance(expr, Named):
         return expr.name
     if isinstance(expr, And):
@@ -147,7 +168,8 @@ class _Parser:
                 break
             self.pos += 1
             parts.append(self.term(depth))
-        return make_and(parts)
+        # A lone term is already normalized.
+        return parts[0] if len(parts) == 1 else make_and(parts)
 
     def term(self, depth: int) -> ClassExpr:
         """A term nested `depth` levels deep."""

@@ -1,7 +1,7 @@
 """Interop surface: DOT hierarchy export, CSV instance ingestion, and merging.
 
-All three operations are pure; merge builds a fresh ontology and reports
-conflicts instead of overwriting or failing outright.
+All three operations are pure; merge builds a fresh ontology, extending the
+first one, and reports conflicts instead of overwriting or failing outright.
 """
 
 from __future__ import annotations
@@ -101,8 +101,9 @@ def ingest_csv(
     """Turn CSV rows into individuals of `target_class` with data assertions.
 
     The first row is the header; the `id` column names each individual. Cells
-    parse according to the mapped property's facet value type. Any diagnostic
-    suppresses the whole result (no partial axiom lists).
+    parse according to the mapped property's facet value type, each distinct
+    cell once per call. Any diagnostic suppresses the whole result (no
+    partial axiom lists).
     """
     diags: list[Diagnostic] = []
     if o.symbols.get(target_class) is not Kind.CLASS:
@@ -140,6 +141,8 @@ def ingest_csv(
 
     axioms: list[Axiom] = []
     seen_ids: set[str] = set()
+    # One literal per distinct (value type, cell); cells repeat a few values.
+    literals: dict[tuple[ValueType, str], Literal] = {}
     for line, row in rows[1:]:
         if any("\n" in cell or "\r" in cell for cell in row):
             diags.append(error(E_SYNTAX, "a cell spans more than one line", file_name, line))
@@ -167,17 +170,21 @@ def ingest_csv(
             cell = row[columns[header]]
             if cell == "":
                 continue
-            lit = _parse_cell(cell, o.facets[prop].value_type)
+            value_type = o.facets[prop].value_type
+            lit = literals.get((value_type, cell))
             if lit is None:
-                diags.append(
-                    error(
-                        E_TYPE_MISMATCH,
-                        f"cell {cell!r} is not a {o.facets[prop].value_type.value} for {prop}",
-                        file_name,
-                        line,
+                lit = _parse_cell(cell, value_type)
+                if lit is None:
+                    diags.append(
+                        error(
+                            E_TYPE_MISMATCH,
+                            f"cell {cell!r} is not a {value_type.value} for {prop}",
+                            file_name,
+                            line,
+                        )
                     )
-                )
-                continue
+                    continue
+                literals[value_type, cell] = lit
             axioms.append(DataAssertion(row_id, prop, lit, file=file_name, line=line))
     if diags:
         return [], sort_diagnostics(diags)
@@ -196,25 +203,25 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
 
     Identical names must agree in kind and, for properties, in their
     declared contract (facet, domain, range); the second ontology's
-    conflicting axioms are dropped and reported. The union is rebuilt so
-    cross-ontology references resolve, and a cycle introduced by the union
-    is reported as a conflict on the otherwise-complete result.
+    conflicting axioms are dropped and reported. The union extends `a`, so
+    only the second ontology's surviving axioms are checked again, and a
+    cycle introduced by the union is reported as a conflict on the
+    otherwise-complete result.
     """
-    base = canonical_axioms(a)
+    kept = canonical_axioms(a)
     incoming = canonical_axioms(b)
-    base_ids = {ax.identity() for ax in base}
+    kept_ids = {ax.identity() for ax in kept}
     conflicts: list[Diagnostic] = []
 
     # Declaration-level screening against a's symbol table.
-    symbols = dict(a.symbols)
     accepted: list[Axiom] = []
     for ax in incoming:
-        if ax.identity() in base_ids:
+        if ax.identity() in kept_ids:
             continue
         decl = ax.declaration()
         if decl is not None:
             decl_name, kind = decl
-            prior = symbols.get(decl_name)
+            prior = a.symbols.get(decl_name)
             if prior is not None and prior is not kind:
                 conflicts.append(
                     error(
@@ -232,11 +239,13 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
                 code, message = clash
                 conflicts.append(error(code, f"{message}; keeping the first", ax.file, ax.line))
                 continue
-            symbols.setdefault(decl_name, kind)
         accepted.append(ax)
 
-    # Drop surviving b-axioms whose references no longer resolve after the
-    # screening above; everything left must build.
+    # Drop accepted b-axioms whose references do not resolve. A name is
+    # declared only by a surviving declaration; the canonical order puts
+    # every declaration before the axioms that refer to it (classes,
+    # properties, individuals, then assertions), so one pass settles it.
+    symbols = dict(a.symbols)
     survivors: list[Axiom] = []
     for ax in accepted:
         bad = False
@@ -258,10 +267,12 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
                 break
         if not bad:
             survivors.append(ax)
+            decl = ax.declaration()
+            if decl is not None:
+                symbols.setdefault(*decl)
 
-    added = len(survivors)
     merged, build_diags = build_ontology(
-        name, base + survivors, a.provenance + b.provenance
+        name, survivors, a.provenance + b.provenance, base=a, base_axioms=kept
     )
     if merged is None:
         raise AssertionError(f"merge produced an unbuildable union: {build_diags}")
@@ -269,4 +280,4 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
     for d in cycle_diags:
         if d.code == E_CYCLE:
             conflicts.append(d)
-    return MergeReport(merged, added, tuple(sort_diagnostics(conflicts)))
+    return MergeReport(merged, len(survivors), tuple(sort_diagnostics(conflicts)))

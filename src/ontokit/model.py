@@ -484,7 +484,8 @@ class Ontology:
     name: str
     axioms: tuple[Axiom, ...]
     symbols: dict[str, Kind]
-    #: First declaration axiom of each (name, kind).
+    #: First declaration axiom of each (name, kind), in the order the axioms
+    #: were checked; only a property's declaration carries a contract.
     declarations: dict[tuple[str, Kind], Axiom]
     provenance: tuple[str, ...] = ()
 
@@ -580,12 +581,20 @@ def build_ontology(
     name: str,
     axioms: Sequence[Axiom],
     provenance: Sequence[str] = (),
+    base: Optional[Ontology] = None,
+    base_axioms: Optional[Sequence[Axiom]] = None,
 ) -> tuple[Optional[Ontology], list[Diagnostic]]:
     """Check an axiom list and wrap it into an Ontology.
 
     Performs every referential and kind check in one pass and reports all
     findings rather than stopping at the first. Returns (ontology, []) on
     success and (None, diagnostics) otherwise.
+
+    With `base`, an ontology already built, the build extends it: it starts
+    from the base's symbols and first declarations and checks only `axioms`,
+    since symbols only grow and the base's axioms already passed every
+    check. The result holds `base_axioms` (by default `base.axioms`; merge
+    passes `canonical_axioms(base)`) followed by `axioms`.
     """
     diags: list[Diagnostic] = []
     if not is_ident(name):
@@ -593,6 +602,11 @@ def build_ontology(
 
     symbols: dict[str, Kind] = {THING: Kind.CLASS}
     first_decls: dict[tuple[str, Kind], Axiom] = {}
+    kept: tuple[Axiom, ...] = ()
+    if base is not None:
+        symbols = dict(base.symbols)
+        first_decls = dict(base.declarations)
+        kept = tuple(base.axioms if base_axioms is None else base_axioms)
     for ax in axioms:
         decl = ax.declaration()
         if decl is None:
@@ -646,7 +660,7 @@ def build_ontology(
         return None, sort_diagnostics(diags)
     onto = Ontology(
         name=name,
-        axioms=tuple(axioms),
+        axioms=kept + tuple(axioms),
         symbols=symbols,
         declarations=first_decls,
         provenance=tuple(provenance),

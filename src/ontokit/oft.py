@@ -261,13 +261,13 @@ class _Cursor:
             raise _LineError(f"unexpected trailing token {tok[1]!r}", tok[2])
 
 
-def _take_literal(cur: _Cursor) -> Literal:
+def _take_literal(cur: _Cursor, literal: Callable[[str, str], Literal]) -> Literal:
     tok = cur.peek()
     if tok is None or tok[0] not in LITERAL_KINDS:
         raise _LineError("expected a literal value", tok[2] if tok else cur.end_col)
     cur.pos += 1
     try:
-        return Literal(LITERAL_KINDS[tok[0]], tok[1])
+        return literal(tok[0], tok[1])
     except ValueError as exc:  # a line break in a string, a number out of range
         raise _LineError(str(exc), tok[2]) from None
 
@@ -280,7 +280,9 @@ def _take_ident_list(cur: _Cursor, what: str) -> list[str]:
     return names
 
 
-def _parse_dataprop(cur: _Cursor, file_name: str, ln: int) -> DataPropDecl:
+def _parse_dataprop(
+    cur: _Cursor, file_name: str, ln: int, literal: Callable[[str, str], Literal]
+) -> DataPropDecl:
     name = cur.take("ident", "property name")[1]
     domain = None
     if cur.at_keyword("domain"):
@@ -294,10 +296,10 @@ def _parse_dataprop(cur: _Cursor, file_name: str, ln: int) -> DataPropDecl:
     allowed: Optional[list[Literal]] = None
     if cur.at_keyword("allowed"):
         cur.pos += 1
-        allowed = [_take_literal(cur)]
+        allowed = [_take_literal(cur, literal)]
         while cur.at_comma():
             cur.pos += 1
-            allowed.append(_take_literal(cur))
+            allowed.append(_take_literal(cur, literal))
     # The facet is checked before the rest of the line is read, so its fault
     # is the one reported when the line has several.
     try:
@@ -317,15 +319,28 @@ def _parse_dataprop(cur: _Cursor, file_name: str, ln: int) -> DataPropDecl:
 class _Reader:
     """What parsing one OFT file has found so far."""
 
-    __slots__ = ("file", "name", "have_header", "declared_classes", "axioms", "diagnostics")
+    __slots__ = (
+        "file", "name", "have_header", "declared_classes", "literals", "axioms", "diagnostics"
+    )
 
     def __init__(self, file_name: str):
         self.file = file_name
         self.name = "unnamed"
         self.have_header = False
         self.declared_classes: set[str] = set()
+        self.literals: dict[tuple[ValueType, str], Literal] = {}
         self.axioms: list[Axiom] = []
         self.diagnostics: list[Diagnostic] = []
+
+    def literal(self, kind: str, lexical: str) -> Literal:
+        """The literal of a token kind and lexical form, built once per file:
+        values repeat, and literals are immutable. Raises `ValueError`, and
+        stores nothing, when `Literal` rejects the value."""
+        value_type = LITERAL_KINDS[kind]
+        lit = self.literals.get((value_type, lexical))
+        if lit is None:
+            lit = self.literals[value_type, lexical] = Literal(value_type, lexical)
+        return lit
 
     def class_line(self, cls: str, parents: list[str], ln: int) -> None:
         """A `class` line declares its class once per file."""
@@ -352,7 +367,7 @@ class _Reader:
             if head == "string" and "\\" in lexical:
                 lexical = _ESCAPE.sub(r"\1", lexical)
             try:
-                value = Literal(LITERAL_KINDS[head], lexical)
+                value = self.literal(head, lexical)
             except ValueError:  # a line break, a number out of range, not a date
                 return False
             self.axioms.append(
@@ -382,7 +397,7 @@ class _Reader:
             elif head == "attr":
                 subj = cur.take("ident", "subject")[1]
                 prop = cur.take("ident", "property")[1]
-                value = _take_literal(cur)
+                value = _take_literal(cur, self.literal)
                 cur.expect_end()
                 self.axioms.append(DataAssertion(subj, prop, value, file=self.file, line=ln))
             elif head == "individual":
@@ -411,7 +426,7 @@ class _Reader:
                 cur.expect_end()
                 self.axioms.append(ObjPropDecl(prop, domain, rng, file=self.file, line=ln))
             elif head == "dataprop":
-                self.axioms.append(_parse_dataprop(cur, self.file, ln))
+                self.axioms.append(_parse_dataprop(cur, self.file, ln, self.literal))
             elif head == "ontology":
                 tok = cur.take("ident", "ontology name")
                 cur.expect_end()

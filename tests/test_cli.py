@@ -171,6 +171,21 @@ class TestMerge:
         assert capsys.readouterr().out == "0 errors, 0 warnings\n"
 
 
+    def test_dependent_of_dropped_declaration_is_reported(self, tmp_path, capsys):
+        """An assertion that uses a property whose declaration was dropped is
+        dropped and reported; the merge exits 1 without a traceback."""
+        a = write(tmp_path / "a.oft", "ontology a\nclass A\nindividual K type A\n")
+        b = write(
+            tmp_path / "b.oft",
+            "ontology b\nclass K\nobjprop p domain K\nclass C\nindividual j type C\nrel j p j\n",
+        )
+        out = tmp_path / "merged.oft"
+        assert run(["merge", a, b, "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{b}:6: error E_UNKNOWN_REF dropped: p is not declared, needed as object property" in err
+        assert run(["check", str(out)]) == 0
+        assert capsys.readouterr().out == "0 errors, 0 warnings\n"
+
 class TestIngest:
     def test_end_to_end(self, corpus_files, tmp_path, capsys):
         csv_path = write(tmp_path / "varieties.csv", "id,name,year\nKhalas,plain date,1800\n")
@@ -315,6 +330,21 @@ def test_output_independent_of_hash_seed(corpus_files):
     assert all(out for out, _ in outputs[0])
 
 
+@pytest.mark.parametrize("module", ["ontokit", "ontokit.cli"])
+def test_python_m_entry_points(tmp_path, module):
+    """`python -m ontokit` and `python -m ontokit.cli` run the CLI: a bad
+    file exits 1 with its diagnostic, without an install."""
+    bad = write(tmp_path / "bad.oft", "class A sub Missing\n")
+    src = str(Path(ontokit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-m", module, "check", bad], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 1
+    assert "E_UNKNOWN_REF Missing is not declared" in result.stderr
+    assert result.stdout == "1 errors, 0 warnings\n"
+
+
 _CORPUS_LINES = [
     line for path in corpus_paths() for line in path.read_text(encoding="utf-8").splitlines()
 ]
@@ -337,7 +367,8 @@ _OFT_BYTES = st.one_of(
 _CSV_TEXT = st.builds(
     str.__add__,
     st.sampled_from(["", "id,year\n", "id,name,year\n", "id\n"]),
-    st.text(st.sampled_from('ab1,"\r\n\\x') | st.characters(), max_size=40),
+    # A file holds only encodable text, so no lone surrogates.
+    st.text(st.sampled_from('ab1,"\r\n\\x') | st.characters(codec="utf-8"), max_size=40),
 )
 
 

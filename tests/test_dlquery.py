@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
+from ontokit import dlquery
 from ontokit.dlquery import (
     _QUERY_TOKENS,
     MAX_NESTING,
@@ -128,6 +129,30 @@ class TestParse:
             with pytest.raises(QuerySyntaxError) as exc:
                 parse_query(text)
             assert (exc.value.message, exc.value.column) == (message, column)
+
+    def test_nested_parse_formats_linearly(self, monkeypatch):
+        """Normalizing each level of a nested query formats each node once:
+        the `format_expr` calls grow linearly with the depth."""
+        calls = 0
+        original = dlquery.format_expr
+
+        def counted(expr):
+            nonlocal calls
+            calls += 1
+            return original(expr)
+
+        monkeypatch.setattr(dlquery, "format_expr", counted)
+        counts = []
+        for depth in (25, 50, 100):
+            calls = 0
+            for text in (
+                "p some (A and " * depth + "A" + ")" * depth,
+                "A and p some (" * depth + "B" + ")" * depth,
+            ):
+                parse_query(text)
+            counts.append(calls)
+        assert counts[2] - counts[1] == 2 * (counts[1] - counts[0])
+        assert counts[2] <= 10 * 100 * 2
 
     def test_empty_query(self):
         with pytest.raises(QuerySyntaxError):

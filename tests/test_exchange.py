@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import io
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 from ontokit.exchange import export_dot, ingest_csv, merge
@@ -12,6 +17,7 @@ from ontokit.model import (
     DataAssertion,
     DataPropDecl,
     IndividualDecl,
+    Kind,
     SubClassOf,
     THING,
     ValueType,
@@ -19,7 +25,7 @@ from ontokit.model import (
     build_ontology,
     canonical_axioms,
 )
-from ontokit.oft import parse_oft
+from ontokit.oft import parse_oft, serialize_oft
 from ontokit.reasoner import compute_closure
 
 
@@ -342,3 +348,166 @@ class TestMerge:
         assert "Medjool" in report.merged.individuals
         decls = [ax for ax in canonical_axioms(report.merged) if isinstance(ax, DataPropDecl)]
         assert len(decls) == 1
+
+    def test_dropped_declaration_undeclares_its_name(self):
+        """A name stays declared only while a surviving declaration declares
+        it: `objprop p` falls with the clashing class K, and so does the
+        assertion that uses p."""
+        a = parse_built("ontology a\nclass A\nindividual K type A\n", "a")
+        b = parse_built(
+            "ontology b\nclass K\nobjprop p domain K\nclass C\n"
+            "individual j type C\nrel j p j\n",
+            "b",
+        )
+        report = merge(a, b, "m")
+        assert [d.render() for d in report.conflicts] == [
+            "b.oft:2: error E_KIND_CLASH K is individual in the first ontology, "
+            "class in the second; keeping the first",
+            "b.oft:3: error E_KIND_CLASH dropped: K is declared as individual, needed as class",
+            "b.oft:6: error E_UNKNOWN_REF dropped: p is not declared, needed as object property",
+        ]
+        assert "p" not in report.merged.symbols
+        assert report.merged.individuals == {"K", "j"}
+
+    def test_dropped_individual_declaration_undeclares_its_name(self):
+        a = parse_built("class A\nindividual K type A\nobjprop p\n", "a")
+        b = parse_built("class K\nindividual j type K\nobjprop p\nrel j p j\n", "b")
+        report = merge(a, b, "m")
+        assert [(d.code, d.line) for d in report.conflicts] == [
+            ("E_KIND_CLASH", 1),
+            ("E_KIND_CLASH", 2),
+            ("E_UNKNOWN_REF", 4),
+        ]
+        assert "j" not in report.merged.symbols
+
+
+# Names that the generated ontologies' individuals and properties are renamed
+# to, so a pair shares names across kinds as well as within them.
+_NAME_POOL = (
+    [f"C{i:03d}" for i in range(8)]
+    + [f"i{i:03d}" for i in range(6)]
+    + ["op0", "op1", "op2", "dp0", "dp1", "dp2", "x0", "x1", "x2", "x3"]
+)
+
+
+def _renamed(rng, onto, name):
+    """`onto` rebuilt under `name` with each individual and property renamed
+    to a distinct name of `_NAME_POOL` that is not one of its classes."""
+    old = sorted(onto.symbols.keys() - onto.classes - {THING})
+    fresh = rng.sample([n for n in _NAME_POOL if n not in onto.classes], len(old))
+    to = dict(zip(old, fresh))
+    axioms = [
+        dataclasses.replace(
+            ax,
+            file=f"{name}.oft",
+            **{
+                f: to.get(getattr(ax, f), getattr(ax, f))
+                for f in ("name", "subject", "prop", "object")
+                if hasattr(ax, f)
+            },
+        )
+        for ax in onto.axioms
+    ]
+    return built(axioms, name)
+
+
+def _random_pair(seed):
+    rng = random.Random(seed)
+
+    def one(name):
+        onto = bruteforce.random_ontology(
+            rng,
+            n_classes=rng.randint(2, 8),
+            n_individuals=rng.randint(0, 5),
+            n_obj_props=rng.randint(0, 3),
+            n_data_props=rng.randint(0, 3),
+            n_assertions=rng.randint(0, 15),
+        )
+        return _renamed(rng, onto, name)
+
+    return rng, one("a"), one("b")
+
+
+def _same_ontology(got, want, property_declarations_only=False):
+    assert got.name == want.name
+    assert got.axioms == want.axioms
+    assert got.provenance == want.provenance
+    assert dict(got.symbols) == dict(want.symbols)
+    assert serialize_oft(got) == serialize_oft(want)
+    decls = got.declarations, want.declarations
+    if property_declarations_only:
+        props = (Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY)
+        decls = tuple({k: v for k, v in d.items() if k[1] in props} for d in decls)
+    assert decls[0] == decls[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_merge_extends_like_a_rebuild(seed):
+    """The union built on `a` is the one a from-scratch build of a's
+    canonical axioms and the survivors gives. Declarations of individuals
+    may differ in which of several is recorded first, as a's axioms are
+    reordered; only the properties' first declarations carry a contract."""
+    _, a, b = _random_pair(seed)
+    report = merge(a, b, "m")
+    kept = canonical_axioms(a)
+    survivors = list(report.merged.axioms[len(kept):])
+    assert report.added == len(survivors)
+    rebuilt, diags = build_ontology("m", kept + survivors, a.provenance + b.provenance)
+    assert rebuilt is not None, diags
+    _same_ontology(report.merged, rebuilt, property_declarations_only=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_ingest_extends_like_a_rebuild(seed):
+    """Ingested rows built on the loaded ontology give what a rebuild of
+    its axioms followed by the rows gives."""
+    rng, onto, _ = _random_pair(seed)
+    props = rng.sample(sorted(onto.data_properties), rng.randint(0, len(onto.data_properties)))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["id", *props])
+    for i in rng.sample(range(20), rng.randint(0, 8)):
+        writer.writerow(
+            [f"r{i}"]
+            + [bruteforce.random_literal(rng, onto.facets[p]).lexical for p in props]
+        )
+    target = rng.choice(sorted(onto.classes))
+    rows, diags = ingest_csv(onto, out.getvalue(), target, [(p, p) for p in props])
+    assert diags == []
+    provenance = onto.provenance + ("rows.csv",)
+    combined, diags = build_ontology(onto.name, rows, provenance, base=onto)
+    assert combined is not None, diags
+    rebuilt, _ = build_ontology(onto.name, list(onto.axioms) + rows, provenance)
+    _same_ontology(combined, rebuilt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_extending_build_matches_rebuild(seed):
+    """Building any axioms on an ontology finds what a from-scratch build of
+    the ontology's axioms and them finds: the same diagnostics, or the same
+    ontology."""
+    _, a, b = _random_pair(seed)
+    extra = list(b.axioms)
+    extended, diags = build_ontology("m", extra, ("x",), base=a)
+    rebuilt, rebuilt_diags = build_ontology("m", list(a.axioms) + extra, ("x",))
+    assert diags == rebuilt_diags
+    assert (extended is None) == (rebuilt is None)
+    if extended is not None:
+        _same_ontology(extended, rebuilt)
+
+
+def test_ingest_shares_one_literal_per_distinct_cell():
+    onto = parse_built(INGEST_BASE)
+    text = "id,common_name,year\n" + "".join(
+        f"R{i},name{i % 3},{1990 + i % 2}\n" for i in range(30)
+    )
+    axioms, diags = ingest_csv(
+        onto, text, "Dates", [("common_name", "has_common_name"), ("year", "has_year")]
+    )
+    assert diags == []
+    values = [ax.value for ax in axioms if isinstance(ax, DataAssertion)]
+    assert len(values) == 60
+    assert len({id(v) for v in values}) == 5

@@ -216,6 +216,37 @@ class TestDiagnostics:
         ]
 
 
+class TestLiteralTable:
+    def test_equal_values_share_one_literal(self):
+        """N `attr` lines holding k distinct values give k literal objects,
+        on the statement path and on the token path alike."""
+        values = ['"honey"', "1930", "1930.0", "true", "2021-05-01", '"a\\"b"']
+        source = "".join(f"attr i p {values[n % 6]}\n" for n in range(60))
+        for axioms in (parse_clean(source).axioms, token_path_parse(source, "test.oft")[1]):
+            literals = [ax.value for ax in axioms]
+            assert len(literals) == 60
+            assert len({id(v) for v in literals}) == 6
+            # Equal values with different lexical forms stay distinct objects.
+            assert literals[1] == literals[2] and literals[1] is not literals[2]
+
+    def test_allowed_values_share_the_table(self):
+        result = parse_clean(
+            'dataprop p type string allowed "x", "y"\ndataprop q type string allowed "y"\n'
+            'attr i p "y"\n'
+        )
+        p, q, attr = result.axioms
+        assert p.facet.allowed[1] is q.facet.allowed[0] is attr.value
+
+    def test_nothing_kept_between_calls(self):
+        first, second = (parse_clean('attr i p "x"\n').axioms[0].value for _ in range(2))
+        assert first == second and first is not second
+
+    def test_rejected_value_is_not_stored(self):
+        result = parse_oft("attr i p 2020-02-30\nattr i p 2020-02-30\n", "test.oft")
+        assert result.axioms == []
+        assert [d.line for d in result.diagnostics] == [1, 2]
+
+
 class TestSerialize:
     def test_empty_ontology(self):
         onto, _ = build_ontology("t", [])
