@@ -198,81 +198,75 @@ class MergeReport:
     conflicts: tuple[Diagnostic, ...]
 
 
+def _conflict(
+    ax: Axiom, a: Ontology, symbols: dict[str, Kind]
+) -> Optional[tuple[str, str]]:
+    """(code, message) when the second ontology's `ax` may not join `a`:
+    it declares a name of `a` in another kind or with another contract, or
+    it refers to a name that `symbols`, a's symbols and the survivors so
+    far, lacks or holds in another kind."""
+    decl = ax.declaration()
+    if decl is not None:
+        decl_name, kind = decl
+        prior = a.symbols.get(decl_name)
+        if prior is not None and prior is not kind:
+            return (
+                E_KIND_CLASH,
+                f"{decl_name} is {prior.value} in the first ontology, "
+                f"{kind.value} in the second; keeping the first",
+            )
+        first = a.declarations.get(decl)
+        clash = ax.contract_clash(first) if first is not None else None
+        if clash is not None:
+            code, message = clash
+            return (code, f"{message}; keeping the first")
+    for ref_name, wanted in ax.references():
+        found = symbols.get(ref_name)
+        if found is not wanted:
+            return (
+                E_UNKNOWN_REF if found is None else E_KIND_CLASH,
+                f"dropped: {ref_name} is "
+                + ("not declared" if found is None else f"declared as {found.value}")
+                + f", needed as {wanted.value}",
+            )
+    return None
+
+
 def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
     """Union two ontologies, first one winning on disagreement.
 
     Identical names must agree in kind and, for properties, in their
     declared contract (facet, domain, range); the second ontology's
-    conflicting axioms are dropped and reported. The union extends `a`, so
-    only the second ontology's surviving axioms are checked again, and a
-    cycle introduced by the union is reported as a conflict on the
-    otherwise-complete result.
+    conflicting axioms are dropped and reported. The union is a's axioms
+    followed by the second ontology's survivors, and only the survivors are
+    checked again. A cycle introduced by the union is reported as a
+    conflict on the otherwise-complete result. Raises ValueError when
+    `name` is not an identifier.
     """
-    kept = canonical_axioms(a)
-    incoming = canonical_axioms(b)
-    kept_ids = {ax.identity() for ax in kept}
-    conflicts: list[Diagnostic] = []
-
-    # Declaration-level screening against a's symbol table.
-    accepted: list[Axiom] = []
-    for ax in incoming:
-        if ax.identity() in kept_ids:
-            continue
-        decl = ax.declaration()
-        if decl is not None:
-            decl_name, kind = decl
-            prior = a.symbols.get(decl_name)
-            if prior is not None and prior is not kind:
-                conflicts.append(
-                    error(
-                        E_KIND_CLASH,
-                        f"{decl_name} is {prior.value} in the first ontology, "
-                        f"{kind.value} in the second; keeping the first",
-                        ax.file,
-                        ax.line,
-                    )
-                )
-                continue
-            first = a.declarations.get(decl)
-            clash = ax.contract_clash(first) if first is not None else None
-            if clash is not None:
-                code, message = clash
-                conflicts.append(error(code, f"{message}; keeping the first", ax.file, ax.line))
-                continue
-        accepted.append(ax)
-
-    # Drop accepted b-axioms whose references do not resolve. A name is
-    # declared only by a surviving declaration; the canonical order puts
-    # every declaration before the axioms that refer to it (classes,
-    # properties, individuals, then assertions), so one pass settles it.
+    if not is_ident(name):
+        raise ValueError(f"invalid ontology name {name!r}")
+    kept_ids = {ax.identity() for ax in a.axioms}
+    # A name of the second ontology is declared only by a surviving
+    # declaration; the canonical order puts every declaration before the
+    # axioms that refer to it (classes, properties, individuals, then
+    # assertions), so one pass drops the dependents of a dropped one.
     symbols = dict(a.symbols)
     survivors: list[Axiom] = []
-    for ax in accepted:
-        bad = False
-        for ref_name, wanted in ax.references():
-            found = symbols.get(ref_name)
-            if found is not wanted:
-                code = E_UNKNOWN_REF if found is None else E_KIND_CLASH
-                conflicts.append(
-                    error(
-                        code,
-                        f"dropped: {ref_name} is "
-                        + ("not declared" if found is None else f"declared as {found.value}")
-                        + f", needed as {wanted.value}",
-                        ax.file,
-                        ax.line,
-                    )
-                )
-                bad = True
-                break
-        if not bad:
-            survivors.append(ax)
-            decl = ax.declaration()
-            if decl is not None:
-                symbols.setdefault(*decl)
+    conflicts: list[Diagnostic] = []
+    for ax in canonical_axioms(b):
+        if ax.identity() in kept_ids:
+            continue
+        conflict = _conflict(ax, a, symbols)
+        if conflict is not None:
+            conflicts.append(error(*conflict, ax.file, ax.line))
+            continue
+        survivors.append(ax)
+        decl = ax.declaration()
+        if decl is not None:
+            symbols.setdefault(*decl)
 
     merged, build_diags = build_ontology(
-        name, survivors, a.provenance + b.provenance, base=a, base_axioms=kept
+        name, survivors, a.provenance + b.provenance, base=a
     )
     if merged is None:
         raise AssertionError(f"merge produced an unbuildable union: {build_diags}")

@@ -17,11 +17,13 @@ from functools import cached_property
 from operator import methodcaller
 from typing import Iterable, Optional, Sequence
 
-#: Identifier and number syntax, shared by the validators below and the
-#: token patterns of the OFT and query scanners.
+#: Identifier, boolean and number syntax, shared by the validators below
+#: and the token patterns of the OFT and query scanners. The boolean words
+#: are literals, so no name may be one.
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+BOOLEANS = "true|false"
 NUMBER = r"[+-]?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
-IDENT_RE = re.compile(IDENT + r"\Z")
+IDENT_RE = re.compile(rf"(?!(?:{BOOLEANS})\Z){IDENT}\Z")
 NUMBER_RE = re.compile(NUMBER + r"\Z")
 _DATETIME_SHAPE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}(T[0-9:.+\-]+Z?)?\Z")
 
@@ -161,10 +163,6 @@ class Literal:
         if "\n" in lex or "\r" in lex:
             raise ValueError("literal may not contain line breaks")
         object.__setattr__(self, "_key", key)
-
-    @property
-    def numeric(self) -> Optional[Decimal]:
-        return self._key[1] if self.value_type is ValueType.NUMBER else None
 
     def key(self) -> tuple:
         """Equality/hash key: numeric for numbers, lexical otherwise."""
@@ -462,16 +460,6 @@ class DataAssertion(Axiom):
         return f"attr {self.subject} {self.prop} {self.value.to_oft()}"
 
 
-def axiom_identity(ax: Axiom) -> tuple:
-    """Location-free identity used for duplicate removal and merging."""
-    return ax.identity()
-
-
-def axiom_references(ax: Axiom) -> tuple[tuple[str, Kind], ...]:
-    """Names an axiom refers to, paired with the kind each use demands."""
-    return ax.references()
-
-
 @dataclass(frozen=True, eq=False)
 class Ontology:
     """Immutable, referentially closed axiom set.
@@ -484,8 +472,9 @@ class Ontology:
     name: str
     axioms: tuple[Axiom, ...]
     symbols: dict[str, Kind]
-    #: First declaration axiom of each (name, kind), in the order the axioms
-    #: were checked; only a property's declaration carries a contract.
+    #: First declaration axiom of each (name, kind), in axiom order; the
+    #: contract views below read it. Only a property's declaration carries
+    #: a contract.
     declarations: dict[tuple[str, Kind], Axiom]
     provenance: tuple[str, ...] = ()
 
@@ -538,27 +527,22 @@ class Ontology:
             acc.setdefault(ax.name, set()).update(ax.types)
         return {name: frozenset(types) for name, types in acc.items()}
 
+    def _first(self, *variants: type) -> list:
+        """Each name's first declaration, where it is one of `variants`."""
+        return [ax for ax in self.declarations.values() if isinstance(ax, variants)]
+
     @cached_property
     def facets(self) -> dict[str, FacetSpec]:
-        acc: dict[str, FacetSpec] = {}
-        for ax in self._all(DataPropDecl):
-            acc.setdefault(ax.name, ax.facet)
-        return acc
+        return {ax.name: ax.facet for ax in self._first(DataPropDecl)}
 
     @cached_property
     def domains(self) -> dict[str, Optional[str]]:
         """Declared domain per property (object and data alike)."""
-        acc: dict[str, Optional[str]] = {}
-        for ax in self._all(ObjPropDecl) + self._all(DataPropDecl):
-            acc.setdefault(ax.name, ax.domain)
-        return acc
+        return {ax.name: ax.domain for ax in self._first(ObjPropDecl, DataPropDecl)}
 
     @cached_property
     def ranges(self) -> dict[str, Optional[str]]:
-        acc: dict[str, Optional[str]] = {}
-        for ax in self._all(ObjPropDecl):
-            acc.setdefault(ax.name, ax.range)
-        return acc
+        return {ax.name: ax.range for ax in self._first(ObjPropDecl)}
 
     @cached_property
     def obj_assertions(self) -> tuple[ObjAssertion, ...]:
@@ -571,10 +555,7 @@ class Ontology:
     @cached_property
     def individual_locations(self) -> dict[str, tuple[str, int]]:
         """First declaration site of each individual (diagnostic anchor)."""
-        acc: dict[str, tuple[str, int]] = {}
-        for ax in self._all(IndividualDecl):
-            acc.setdefault(ax.name, (ax.file, ax.line))
-        return acc
+        return {ax.name: (ax.file, ax.line) for ax in self._first(IndividualDecl)}
 
 
 def build_ontology(
@@ -582,7 +563,6 @@ def build_ontology(
     axioms: Sequence[Axiom],
     provenance: Sequence[str] = (),
     base: Optional[Ontology] = None,
-    base_axioms: Optional[Sequence[Axiom]] = None,
 ) -> tuple[Optional[Ontology], list[Diagnostic]]:
     """Check an axiom list and wrap it into an Ontology.
 
@@ -593,8 +573,8 @@ def build_ontology(
     With `base`, an ontology already built, the build extends it: it starts
     from the base's symbols and first declarations and checks only `axioms`,
     since symbols only grow and the base's axioms already passed every
-    check. The result holds `base_axioms` (by default `base.axioms`; merge
-    passes `canonical_axioms(base)`) followed by `axioms`.
+    check. The result holds `base.axioms` followed by `axioms`, so
+    `declarations` always holds each name's first declaration in axiom order.
     """
     diags: list[Diagnostic] = []
     if not is_ident(name):
@@ -606,7 +586,7 @@ def build_ontology(
     if base is not None:
         symbols = dict(base.symbols)
         first_decls = dict(base.declarations)
-        kept = tuple(base.axioms if base_axioms is None else base_axioms)
+        kept = base.axioms
     for ax in axioms:
         decl = ax.declaration()
         if decl is None:

@@ -13,6 +13,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .model import (
     Axiom,
+    BOOLEANS,
     Cardinality,
     ClassDecl,
     DataAssertion,
@@ -61,7 +62,6 @@ _ESCAPE = re.compile(r"\\(.)", re.S)
 
 # The lexical syntax that the token patterns and the OFT statement pattern
 # share. `stop` is a language's punctuation and comment characters, escaped.
-_BOOLEANS = "true|false"
 
 
 def _word_end(stop: str) -> str:
@@ -72,7 +72,7 @@ def _word_end(stop: str) -> str:
 
 def _ident(stop: str, keywords: tuple[str, ...] = ()) -> str:
     """An identifier that is not a reserved word; a word end must follow it."""
-    reserved = "|".join((_BOOLEANS,) + keywords)
+    reserved = "|".join((BOOLEANS,) + keywords)
     return rf"(?!(?:{reserved}){_word_end(stop)}){IDENT}"
 
 
@@ -102,7 +102,7 @@ def token_pattern(
         *(f"(?P<{kind}>{re.escape(ch)})" for ch, kind in punctuation.items()),
         r'"(?P<string>[^"\\]*)"',
         r'"(?P<quoted>[^"\\]*(?:\\.[^"\\]*)*)(?P<closed>")?',
-        rf"(?P<boolean>{_BOOLEANS}){end}",
+        rf"(?P<boolean>{BOOLEANS}){end}",
     ]
     if keywords:
         alternatives.append(rf"(?P<keyword>{'|'.join(keywords)}){end}")
@@ -171,7 +171,7 @@ def _statement_pattern() -> re.Pattern[str]:
     names = rf"{name}(?:[ \t]*,[ \t]*{name})*"
     value = "|".join([
         r'"(?P<string>[^"\\]*(?:\\["\\][^"\\]*)*)"',
-        rf"(?P<boolean>{_BOOLEANS}){end}",
+        rf"(?P<boolean>{BOOLEANS}){end}",
         rf"(?P<number>{NUMBER}){end}",
         _word("datetime", stop),
     ])

@@ -24,7 +24,6 @@ from ontokit.exchange import export_dot, merge
 from ontokit.model import (
     IndividualDecl,
     ValueType,
-    axiom_identity,
     build_ontology,
     canonical_axioms,
 )
@@ -157,8 +156,8 @@ def test_criterion_5_round_trip(corpus):
         rebuilt, diags = build_ontology(result.ontology_name, result.axioms)
         if rebuilt is None:
             return False
-        return [axiom_identity(a) for a in canonical_axioms(rebuilt)] == [
-            axiom_identity(a) for a in canonical_axioms(onto)
+        return [a.identity() for a in canonical_axioms(rebuilt)] == [
+            a.identity() for a in canonical_axioms(onto)
         ]
 
     ok = survives(corpus)
@@ -170,7 +169,7 @@ def test_criterion_5_round_trip(corpus):
 
 def test_criterion_6_merge_algebra(corpus):
     def identities(onto):
-        return [axiom_identity(a) for a in canonical_axioms(onto)]
+        return [a.identity() for a in canonical_axioms(onto)]
 
     self_report = merge(corpus, corpus, "merged")
     ok = (

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,6 @@ from ontokit.model import (
     SubClassOf,
     THING,
     ValueType,
-    axiom_identity,
     build_ontology,
     canonical_axioms,
 )
@@ -49,7 +49,7 @@ def parse_built(source, name="t"):
 
 
 def identities(onto):
-    return [axiom_identity(ax) for ax in canonical_axioms(onto)]
+    return [ax.identity() for ax in canonical_axioms(onto)]
 
 
 def dot_edges(dot_text):
@@ -251,6 +251,15 @@ class TestIngestCsv:
             ("E_DUP_INDIVIDUAL", 4),
         ]
 
+    def test_boolean_row_id_reported(self):
+        onto = parse_built(INGEST_BASE)
+        axioms, diags = ingest_csv(onto, "id\ntrue\nfalse\nokay\n", "Dates", [])
+        assert axioms == []
+        assert [(d.code, d.line, d.message) for d in diags] == [
+            ("E_SYNTAX", 2, "row id 'true' is not a valid identifier"),
+            ("E_SYNTAX", 3, "row id 'false' is not a valid identifier"),
+        ]
+
     def test_type_mismatch_cell(self):
         onto = parse_built(INGEST_BASE)
         _, diags = ingest_csv(
@@ -289,6 +298,10 @@ class TestMerge:
         assert report.added == 0
         assert report.conflicts == ()
         assert identities(report.merged) == identities(corpus)
+
+    def test_invalid_name_rejected(self, corpus):
+        with pytest.raises(ValueError, match="invalid ontology name 'not a name'"):
+            merge(corpus, corpus, "not a name")
 
     def test_added_counts_new_axioms(self, corpus):
         extra = parse_built("ontology more\nclass Species\nclass Medjool sub Species\n", "more")
@@ -428,34 +441,32 @@ def _random_pair(seed):
     return rng, one("a"), one("b")
 
 
-def _same_ontology(got, want, property_declarations_only=False):
+def _same_ontology(got, want):
     assert got.name == want.name
     assert got.axioms == want.axioms
     assert got.provenance == want.provenance
     assert dict(got.symbols) == dict(want.symbols)
     assert serialize_oft(got) == serialize_oft(want)
-    decls = got.declarations, want.declarations
-    if property_declarations_only:
-        props = (Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY)
-        decls = tuple({k: v for k, v in d.items() if k[1] in props} for d in decls)
-    assert decls[0] == decls[1]
+    assert list(got.declarations.items()) == list(want.declarations.items())
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32))
 def test_merge_extends_like_a_rebuild(seed):
-    """The union built on `a` is the one a from-scratch build of a's
-    canonical axioms and the survivors gives. Declarations of individuals
-    may differ in which of several is recorded first, as a's axioms are
-    reordered; only the properties' first declarations carry a contract."""
+    """The union built on `a` is the one a from-scratch build of a's axioms
+    and the survivors gives, first declarations included. Its text is that
+    of a build of a's canonical axioms and the survivors."""
     _, a, b = _random_pair(seed)
     report = merge(a, b, "m")
-    kept = canonical_axioms(a)
-    survivors = list(report.merged.axioms[len(kept):])
+    survivors = list(report.merged.axioms[len(a.axioms):])
     assert report.added == len(survivors)
-    rebuilt, diags = build_ontology("m", kept + survivors, a.provenance + b.provenance)
+    provenance = a.provenance + b.provenance
+    rebuilt, diags = build_ontology("m", list(a.axioms) + survivors, provenance)
     assert rebuilt is not None, diags
-    _same_ontology(report.merged, rebuilt, property_declarations_only=True)
+    _same_ontology(report.merged, rebuilt)
+    canonical, diags = build_ontology("m", canonical_axioms(a) + survivors, provenance)
+    assert canonical is not None, diags
+    assert serialize_oft(report.merged) == serialize_oft(canonical)
 
 
 @settings(max_examples=300, deadline=None)

@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 import bruteforce
+from ontokit.exchange import merge
 from ontokit.model import (
     ClassDecl,
     DataAssertion,
@@ -23,8 +24,6 @@ from ontokit.model import (
     SubClassOf,
     THING,
     ValueType,
-    axiom_identity,
-    axiom_references,
     build_ontology,
     canonical_axioms,
 )
@@ -172,13 +171,17 @@ class TestBuildOntology:
         assert corpus != other
 
     def test_views_equal_a_scan_of_the_axioms(self):
-        rng = random.Random(5)
+        rng, other_rng = random.Random(5), random.Random(6)
         for _ in range(20):
             onto = bruteforce.random_ontology(rng, n_assertions=30)
             doubled = build_ok(
                 [replace(ax, line=i + 1) for i, ax in enumerate(onto.axioms * 2)]
             )
-            for o in (onto, doubled):
+            # The pair shares every name, so the union declares some
+            # individuals twice and drops clashing properties.
+            other = bruteforce.random_ontology(other_rng, n_assertions=30)
+            merged = merge(other, doubled, "m").merged
+            for o in (onto, doubled, merged):
                 first = {}
                 for ax in o.axioms:
                     if isinstance(ax, (ObjPropDecl, DataPropDecl, IndividualDecl)):
@@ -217,7 +220,7 @@ class TestBuildOntology:
 
     def test_referential_closure_full_scan(self, corpus):
         for ax in corpus.axioms:
-            for name, kind in axiom_references(ax):
+            for name, kind in ax.references():
                 assert corpus.symbols[name] is kind
 
     def test_implicit_root_totality(self, corpus):
@@ -262,14 +265,14 @@ class TestCanonicalAxioms:
         assert canonical_axioms(onto) == [ClassDecl("A")]
 
     def test_deterministic_across_calls(self, corpus):
-        first = [axiom_identity(ax) for ax in canonical_axioms(corpus)]
-        second = [axiom_identity(ax) for ax in canonical_axioms(corpus)]
+        first = [ax.identity() for ax in canonical_axioms(corpus)]
+        second = [ax.identity() for ax in canonical_axioms(corpus)]
         assert first == second
 
     def test_idempotent_after_rebuild(self, corpus):
         rebuilt = build_ok(canonical_axioms(corpus), name=corpus.name)
-        assert [axiom_identity(ax) for ax in canonical_axioms(rebuilt)] == [
-            axiom_identity(ax) for ax in canonical_axioms(corpus)
+        assert [ax.identity() for ax in canonical_axioms(rebuilt)] == [
+            ax.identity() for ax in canonical_axioms(corpus)
         ]
 
     def test_number_duplicates_collapse_to_first(self):
@@ -295,6 +298,6 @@ class TestCanonicalAxioms:
             onto = bruteforce.random_ontology(rng)
             canon = canonical_axioms(onto)
             rebuilt = build_ok(canon, name=onto.name)
-            assert [axiom_identity(a) for a in canonical_axioms(rebuilt)] == [
-                axiom_identity(a) for a in canon
+            assert [a.identity() for a in canonical_axioms(rebuilt)] == [
+                a.identity() for a in canon
             ]

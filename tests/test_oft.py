@@ -19,9 +19,9 @@ from ontokit.model import (
     ObjPropDecl,
     SubClassOf,
     ValueType,
-    axiom_identity,
     build_ontology,
     canonical_axioms,
+    is_ident,
 )
 from ontokit.oft import _OFT_TOKENS, _Reader, _lines, parse_oft, scan, serialize_oft
 
@@ -39,8 +39,8 @@ def roundtrip_identities(onto):
     rebuilt, diags = build_ontology(result.ontology_name, result.axioms)
     assert rebuilt is not None, diags
     return (
-        [axiom_identity(ax) for ax in canonical_axioms(onto)],
-        [axiom_identity(ax) for ax in canonical_axioms(rebuilt)],
+        [ax.identity() for ax in canonical_axioms(onto)],
+        [ax.identity() for ax in canonical_axioms(rebuilt)],
     )
 
 
@@ -284,6 +284,22 @@ def test_parsing_is_total(source):
     result = parse_oft(source, "fuzz.oft")
     assert isinstance(result.axioms, list)
     assert all(d.line >= 1 for d in result.diagnostics)
+
+
+_WORDS = st.one_of(
+    st.sampled_from(["true", "false", "truex", "_true", "Thing", "sub", "class", "1a", "a#b"]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]*", fullmatch=True),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WORDS)
+def test_one_identifier_rule(word):
+    """`class w` declares w, with no diagnostic, exactly when w is an identifier."""
+    result = parse_oft(f"class {word}", "f.oft")
+    declared = result.axioms == [ClassDecl(word, file="f.oft", line=1)]
+    assert (declared and not result.diagnostics) == is_ident(word)
 
 
 _LINES = st.lists(st.sampled_from(bruteforce.SCAN_FRAGMENTS), max_size=12).map("".join)
