@@ -24,7 +24,7 @@ from .model import (
     sort_diagnostics,
 )
 from .oft import load_sources, serialize_oft
-from .reasoner import compute_closure, realize
+from .reasoner import TaxonomyClosure, compute_closure, realize
 from .validator import validate
 
 
@@ -51,8 +51,27 @@ def _write_text(path: str, text: str) -> None:
         raise _BadFile(f"{path}: {exc}") from None
 
 
+class _Failed(Exception):
+    """A command failed with the diagnostics in `args[0]`; `run` emits them."""
+
+
 def _load(paths: Sequence[str]) -> tuple[Optional[Ontology], list[Diagnostic]]:
     return load_sources([(p, _read_text(p)) for p in paths])
+
+
+def _require(paths: Sequence[str]) -> Ontology:
+    onto, diags = _load(paths)
+    if onto is None:
+        raise _Failed(diags)
+    return onto
+
+
+def _require_closed(paths: Sequence[str]) -> tuple[Ontology, TaxonomyClosure]:
+    onto = _require(paths)
+    closure, diags = compute_closure(onto)
+    if closure is None:
+        raise _Failed(diags)
+    return onto, closure
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -69,52 +88,29 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if errors else 0
 
 
-def _require_loaded(paths: Sequence[str]) -> Optional[tuple]:
-    onto, diags = _load(paths)
-    if onto is None:
-        _emit(diags)
-        return None
-    closure, closure_diags = compute_closure(onto)
-    if closure is None:
-        _emit(closure_diags)
-        return None
-    return onto, closure
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
-    loaded = _require_loaded(args.files)
-    if loaded is None:
-        return 1
-    onto, closure = loaded
+    onto, closure = _require_closed(args.files)
     try:
         expr = parse_query(args.query)
     except QuerySyntaxError as exc:
-        _emit([error(exc.code, exc.message + f" (column {exc.column})", "<query>", 1)])
-        return 1
+        raise _Failed([error(exc.code, exc.message + f" (column {exc.column})", "<query>", 1)])
     try:
         names = eval_query(onto, closure, realize(onto, closure), expr, QueryMode(args.mode))
     except QueryEvalError as exc:
-        _emit([error(exc.code, exc.message, "<query>", 1)])
-        return 1
+        raise _Failed([error(exc.code, exc.message, "<query>", 1)])
     for name in names:
         print(name)
     return 0
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    loaded = _require_loaded(args.files)
-    if loaded is None:
-        return 1
-    onto, closure = loaded
+    onto, closure = _require_closed(args.files)
     print(export_dot(onto, closure, inferred=args.inferred), end="")
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    onto, diags = _load(args.files)
-    if onto is None:
-        _emit(diags)
-        return 1
+    onto = _require(args.files)
     counts = [
         ("classes", len(onto.classes)),
         ("object_properties", len(onto.object_properties)),
@@ -128,14 +124,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    first, first_diags = _load([args.first])
-    if first is None:
-        _emit(first_diags)
-        return 1
-    second, second_diags = _load([args.second])
-    if second is None:
-        _emit(second_diags)
-        return 1
+    first = _require([args.first])
+    second = _require([args.second])
     report = merge(first, second, first.name)
     _write_text(args.output, serialize_oft(report.merged))
     _emit(report.conflicts)
@@ -154,10 +144,7 @@ def _parse_column_map(raw: str) -> list[tuple[str, str]]:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    onto, diags = _load(args.files)
-    if onto is None:
-        _emit(diags)
-        return 1
+    onto = _require(args.files)
     try:
         column_map = _parse_column_map(args.map)
     except ValueError as exc:
@@ -168,14 +155,12 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         onto, csv_text, args.target_class, column_map, file_name=args.csv
     )
     if ingest_diags:
-        _emit(ingest_diags)
-        return 1
+        raise _Failed(ingest_diags)
     combined, build_diags = build_ontology(
         onto.name, axioms, onto.provenance + (args.csv,), base=onto
     )
     if combined is None:
-        _emit(build_diags)
-        return 1
+        raise _Failed(build_diags)
     _write_text(args.output, serialize_oft(combined))
     return 0
 
@@ -234,6 +219,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except _Failed as exc:
+        _emit(exc.args[0])
+        return 1
     except (OSError, _BadFile) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from .model import (
     E_SYNTAX,
     E_TYPE_MISMATCH,
     E_UNKNOWN_REF,
+    FacetSpec,
     IndividualDecl,
     Kind,
     Literal,
@@ -32,8 +33,6 @@ from .model import (
     canonical_axioms,
     error,
     is_ident,
-    parse_number,
-    is_datetime,
     sort_diagnostics,
 )
 from .reasoner import TaxonomyClosure, compute_closure
@@ -74,21 +73,24 @@ def export_dot(o: Ontology, closure: TaxonomyClosure, inferred: bool = False) ->
     return "\n".join(lines) + "\n"
 
 
-def _parse_cell(cell: str, value_type: ValueType) -> Optional[Literal]:
-    if value_type is ValueType.STRING:
-        return Literal(ValueType.STRING, cell)
-    if value_type is ValueType.NUMBER:
-        return Literal(ValueType.NUMBER, cell) if parse_number(cell) is not None else None
-    if value_type is ValueType.BOOLEAN:
-        return Literal(ValueType.BOOLEAN, cell) if cell in ("true", "false") else None
-    if value_type is ValueType.DATETIME:
-        return Literal(ValueType.DATETIME, cell) if is_datetime(cell) else None
-    # Open-ended facet types: sniff the concrete form, strings as fallback.
-    for probe in (ValueType.NUMBER, ValueType.BOOLEAN, ValueType.DATETIME):
-        lit = _parse_cell(cell, probe)
-        if lit is not None:
-            return lit
-    return Literal(ValueType.STRING, cell)
+# The types a cell is tried as under an open-ended facet type, in order.
+_SNIFF = (ValueType.NUMBER, ValueType.BOOLEAN, ValueType.DATETIME, ValueType.STRING)
+
+
+def _parse_cell(cell: str, facet: FacetSpec) -> Optional[Literal]:
+    """The first allowed value that `cell` spells; else the cell read as the
+    facet's value type, or as the first type of `_SNIFF` that reads it for
+    an open-ended type; None when it reads as none of them."""
+    for value in facet.allowed or ():
+        if value.lexical == cell:
+            return value
+    vt = facet.value_type
+    for value_type in _SNIFF if vt in (ValueType.ANY, ValueType.ENUM) else (vt,):
+        try:
+            return Literal(value_type, cell)
+        except ValueError:
+            pass
+    return None
 
 
 def ingest_csv(
@@ -141,8 +143,8 @@ def ingest_csv(
 
     axioms: list[Axiom] = []
     seen_ids: set[str] = set()
-    # One literal per distinct (value type, cell); cells repeat a few values.
-    literals: dict[tuple[ValueType, str], Literal] = {}
+    # One literal per distinct (property, cell); cells repeat a few values.
+    literals: dict[tuple[str, str], Literal] = {}
     for line, row in rows[1:]:
         if any("\n" in cell or "\r" in cell for cell in row):
             diags.append(error(E_SYNTAX, "a cell spans more than one line", file_name, line))
@@ -170,21 +172,21 @@ def ingest_csv(
             cell = row[columns[header]]
             if cell == "":
                 continue
-            value_type = o.facets[prop].value_type
-            lit = literals.get((value_type, cell))
+            lit = literals.get((prop, cell))
             if lit is None:
-                lit = _parse_cell(cell, value_type)
+                facet = o.facets[prop]
+                lit = _parse_cell(cell, facet)
                 if lit is None:
                     diags.append(
                         error(
                             E_TYPE_MISMATCH,
-                            f"cell {cell!r} is not a {value_type.value} for {prop}",
+                            f"cell {cell!r} is not a {facet.value_type.value} for {prop}",
                             file_name,
                             line,
                         )
                     )
                     continue
-                literals[value_type, cell] = lit
+                literals[prop, cell] = lit
             axioms.append(DataAssertion(row_id, prop, lit, file=file_name, line=line))
     if diags:
         return [], sort_diagnostics(diags)

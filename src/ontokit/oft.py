@@ -54,7 +54,7 @@ Token = tuple[str, str, int]
 
 # Group names of `token_pattern` that `scan` handles itself; every other
 # kind, a caller's punctuation included, is a plain token.
-_SPECIAL_KINDS = frozenset({"end", "string", "word", "quoted", "closed"})
+_SPECIAL_KINDS = frozenset({"end", "word", "quoted", "closed"})
 # Backslashes pair off from the left, so skipping whole valid escapes finds
 # the first backslash that escapes neither a quote nor a backslash.
 _INVALID_ESCAPE = re.compile(r'(?:[^\\]|\\["\\])*\\([^"\\])', re.S)
@@ -90,8 +90,8 @@ def token_pattern(
     A word runs up to the next separator, quote, punctuation or comment
     character. The pattern classifies it as identifier, boolean, keyword or
     number; any other word is a `word`, which the scanner accepts only as a
-    date-time. A closed string with no backslash matches `string`; any
-    other string matches `quoted`, plus `closed` when it is closed. Every
+    date-time. A string matches `quoted`, plus `closed` when it is closed;
+    the scanner checks its escapes and unescapes its body. Every
     match takes the blanks before it, and `end` matches a comment or the
     blanks at the end of the text, so no character is skipped unseen.
     """
@@ -100,7 +100,6 @@ def token_pattern(
     alternatives = [
         rf"(?P<ident>{_ident(stop, keywords)}){end}",
         *(f"(?P<{kind}>{re.escape(ch)})" for ch, kind in punctuation.items()),
-        r'"(?P<string>[^"\\]*)"',
         r'"(?P<quoted>[^"\\]*(?:\\.[^"\\]*)*)(?P<closed>")?',
         rf"(?P<boolean>{BOOLEANS}){end}",
     ]
@@ -126,17 +125,13 @@ def scan(
             tokens.append((kind, m.group(kind), m.start(kind) + 1))
         elif kind == "end":
             break
-        elif kind == "string":
-            # The group holds the body, so its 0-based start is the 1-based
-            # column of the opening quote.
-            tokens.append((kind, m.group(kind), m.start(kind)))
         elif kind == "word":
             word = m.group(kind)
             if not is_datetime(word):
                 raise fault(f"bad token {word!r}", m.start(kind) + 1)
             tokens.append(("datetime", word, m.start(kind) + 1))
         else:
-            col = m.start("quoted")  # the opening quote, as for `string`
+            col = m.start("quoted")  # the body's 0-based start: the quote's column
             body = m.group("quoted")
             bad = _INVALID_ESCAPE.match(body)
             if bad is not None:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .model import (
     Cardinality,
-    DataAssertion,
     Diagnostic,
     E_ALLOWED_VALUE,
     E_CARD_MULTIPLE,
@@ -47,9 +46,10 @@ def validate(
     diags: list[Diagnostic] = []
     members = realization.members_of
 
-    by_prop_subject: dict[tuple[str, str], list[DataAssertion]] = {}
+    # Values per (property, subject), counted as the assertions go by: a
+    # value whose count passes 1 breaks single cardinality.
+    counts: dict[tuple[str, str], int] = {}
     for ax in o.data_assertions:
-        by_prop_subject.setdefault((ax.prop, ax.subject), []).append(ax)
         facet = o.facets[ax.prop]
         if not conforms(ax.value, facet.value_type):
             diags.append(
@@ -70,38 +70,26 @@ def validate(
                     ax.line,
                 )
             )
-        domain = o.domains.get(ax.prop)
-        if domain is not None and ax.subject not in members[domain]:
+        key = (ax.prop, ax.subject)
+        count = counts[key] = counts.get(key, 0) + 1
+        if count > 1 and facet.cardinality is Cardinality.SINGLE:
             diags.append(
                 error(
-                    E_DOMAIN,
-                    f"{ax.subject} is outside the domain {domain} of {ax.prop}",
+                    E_CARD_SINGLE,
+                    f"{ax.subject} has more than one value for single-cardinality {ax.prop}",
                     ax.file,
                     ax.line,
                 )
             )
 
-    for (prop, subject), assertions in by_prop_subject.items():
-        if o.facets[prop].cardinality is Cardinality.SINGLE and len(assertions) > 1:
-            for extra in assertions[1:]:
-                diags.append(
-                    error(
-                        E_CARD_SINGLE,
-                        f"{subject} has more than one value for single-cardinality {prop}",
-                        extra.file,
-                        extra.line,
-                    )
-                )
-
     # Multiple cardinality reads as "at least one value"; absence is only a
     # warning so half-authored individuals do not hard-fail.
-    for prop in sorted(o.data_properties):
-        facet = o.facets[prop]
+    for prop in o.data_properties:
         domain = o.domains.get(prop)
-        if facet.cardinality is not Cardinality.MULTIPLE or domain is None:
+        if o.facets[prop].cardinality is not Cardinality.MULTIPLE or domain is None:
             continue
-        for ind in sorted(members[domain]):
-            if (prop, ind) not in by_prop_subject:
+        for ind in members[domain]:
+            if (prop, ind) not in counts:
                 loc = o.individual_locations.get(ind, ("", 0))
                 diags.append(
                     warning(
@@ -112,7 +100,7 @@ def validate(
                     )
                 )
 
-    for ax in o.obj_assertions:
+    for ax in o.data_assertions + o.obj_assertions:
         domain = o.domains.get(ax.prop)
         if domain is not None and ax.subject not in members[domain]:
             diags.append(
@@ -123,6 +111,7 @@ def validate(
                     ax.line,
                 )
             )
+    for ax in o.obj_assertions:
         rng = o.ranges.get(ax.prop)
         if rng is not None and ax.object not in members[rng]:
             diags.append(

@@ -111,6 +111,51 @@ def oracle_instances(onto: Ontology, expr: ClassExpr) -> set[str]:
     }
 
 
+def oracle_validate(onto: Ontology) -> list[tuple[str, str, int]]:
+    """`(code, file, line)` of every validator finding, by direct definition:
+    membership by path walking, single cardinality by a scan of the earlier
+    values of the same pair, and contracts from the first declarations."""
+    decls: dict[str, Axiom] = {}
+    for ax in onto.axioms:
+        if isinstance(ax, (ObjPropDecl, DataPropDecl)):
+            decls.setdefault(ax.name, ax)
+    found: list[tuple[str, str, int]] = []
+    data = [ax for ax in onto.axioms if isinstance(ax, DataAssertion)]
+    for i, ax in enumerate(data):
+        facet = decls[ax.prop].facet
+        if facet.value_type not in (ValueType.ANY, ValueType.ENUM) and (
+            ax.value.value_type is not facet.value_type
+        ):
+            found.append(("E_TYPE_MISMATCH", ax.file, ax.line))
+        elif facet.allowed is not None and not any(ax.value == v for v in facet.allowed):
+            found.append(("E_ALLOWED_VALUE", ax.file, ax.line))
+        if facet.cardinality is Cardinality.SINGLE and any(
+            (e.prop, e.subject) == (ax.prop, ax.subject) for e in data[:i]
+        ):
+            found.append(("E_CARD_SINGLE", ax.file, ax.line))
+    for ax in onto.axioms:
+        if not isinstance(ax, (ObjAssertion, DataAssertion)):
+            continue
+        domain = decls[ax.prop].domain
+        if domain is not None and domain not in walk_types(onto, ax.subject):
+            found.append(("E_DOMAIN", ax.file, ax.line))
+        if isinstance(ax, ObjAssertion):
+            rng = decls[ax.prop].range
+            if rng is not None and rng not in walk_types(onto, ax.object):
+                found.append(("E_RANGE", ax.file, ax.line))
+    for prop, decl in decls.items():
+        if not isinstance(decl, DataPropDecl) or decl.domain is None:
+            continue
+        if decl.facet.cardinality is not Cardinality.MULTIPLE:
+            continue
+        for ind in onto.individuals:
+            if decl.domain in walk_types(onto, ind) and not any(
+                (ax.prop, ax.subject) == (prop, ind) for ax in data
+            ):
+                found.append(("E_CARD_MULTIPLE", *onto.individual_locations.get(ind, ("", 0))))
+    return found
+
+
 def random_taxonomy_axioms(
     rng: random.Random,
     n_classes: int,

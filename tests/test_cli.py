@@ -211,6 +211,21 @@ class TestIngest:
         capsys.readouterr()
         assert run(["check", str(out)]) == 0
 
+    def test_allowed_cell_checks_clean(self, tmp_path, capsys):
+        base = write(
+            tmp_path / "base.oft",
+            "ontology grades\nclass Species\n"
+            'dataprop grade domain Species type enum allowed "1", "2" card single\n',
+        )
+        csv_path = write(tmp_path / "grades.csv", "id,grade\nr1,1\n")
+        out = tmp_path / "combined.oft"
+        argv = ["ingest", base, "--csv", csv_path, "--class", "Species"]
+        assert run([*argv, "--map", "grade=grade", "-o", str(out)]) == 0
+        assert 'attr r1 grade "1"' in out.read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert run(["check", str(out)]) == 0
+        assert capsys.readouterr().out == "0 errors, 0 warnings\n"
+
     def test_bad_cell_exits_one(self, corpus_files, tmp_path, capsys):
         csv_path = write(tmp_path / "bad.csv", "id,year\nKhalas,old\n")
         out = tmp_path / "combined.oft"

@@ -260,6 +260,32 @@ class TestIngestCsv:
             ("E_SYNTAX", 3, "row id 'false' is not a valid identifier"),
         ]
 
+    def test_cell_takes_the_allowed_value_it_spells(self):
+        onto = parse_built(
+            INGEST_BASE
+            + 'dataprop grade domain Dates type enum allowed "1", "2" card single\n'
+            + "dataprop level domain Dates type enum allowed 2, 1\n"
+            + 'dataprop rank domain Dates type literal allowed "1", 1\n'
+        )
+        axioms, diags = ingest_csv(
+            onto,
+            "id,grade,level,rank\na,1,1,1\nb,3,1.0,1.0\n",
+            "Dates",
+            [("grade", "grade"), ("level", "level"), ("rank", "rank")],
+        )
+        assert diags == []
+        values = [(ax.prop, ax.value) for ax in axioms if isinstance(ax, DataAssertion)]
+        assert [(p, v.value_type, v.lexical) for p, v in values] == [
+            ("grade", ValueType.STRING, "1"),
+            ("level", ValueType.NUMBER, "1"),
+            ("rank", ValueType.STRING, "1"),
+            # No allowed value is spelled so: the cell is read as before.
+            ("grade", ValueType.NUMBER, "3"),
+            ("level", ValueType.NUMBER, "1.0"),
+            ("rank", ValueType.NUMBER, "1.0"),
+        ]
+        assert values[0][1] is onto.facets["grade"].allowed[0]
+
     def test_type_mismatch_cell(self):
         onto = parse_built(INGEST_BASE)
         _, diags = ingest_csv(

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
-from ontokit.model import Severity, build_ontology
+import random
+from collections import Counter
+from dataclasses import replace
+
+import bruteforce
+from ontokit.model import DataAssertion, DataPropDecl, Severity, build_ontology
 from ontokit.oft import parse_oft
 from ontokit.reasoner import compute_closure, realize
 from ontokit.validator import validate
@@ -152,3 +157,36 @@ class TestReportShape:
             closure, _ = compute_closure(onto)
             report = validate(onto, closure, realize(onto, closure))
             assert not [d for d in report.diagnostics if d.severity is Severity.ERROR]
+
+
+class TestOracle:
+    def test_validate_matches_the_oracle(self):
+        rng = random.Random(7)
+        seen: Counter[str] = Counter()
+        for _ in range(300):
+            onto = bruteforce.random_ontology(rng)
+            axioms = list(onto.axioms)
+            # Values drawn for another facet: the generator alone never
+            # writes a value of the wrong type.
+            props = [ax.name for ax in axioms if isinstance(ax, DataPropDecl)]
+            individuals = sorted(onto.individuals)
+            for _ in range(3):
+                value = bruteforce.random_literal(rng, bruteforce.random_facet(rng))
+                axioms.append(DataAssertion(rng.choice(individuals), rng.choice(props), value))
+            onto, diags = build_ontology(
+                "t", [replace(ax, file="t.oft", line=i + 1) for i, ax in enumerate(axioms)]
+            )
+            assert onto is not None, diags
+            closure, _ = compute_closure(onto)
+            report = validate(onto, closure, realize(onto, closure))
+            got = sorted((d.code, d.file, d.line) for d in report.diagnostics)
+            assert got == sorted(bruteforce.oracle_validate(onto))
+            seen.update(code for code, _, _ in got)
+        assert set(seen) == {
+            "E_TYPE_MISMATCH",
+            "E_ALLOWED_VALUE",
+            "E_CARD_SINGLE",
+            "E_CARD_MULTIPLE",
+            "E_DOMAIN",
+            "E_RANGE",
+        }, seen
