@@ -116,7 +116,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         ("object_properties", len(onto.object_properties)),
         ("data_properties", len(onto.data_properties)),
         ("individuals", len(onto.individuals)),
-        ("assertions", len(onto.obj_assertions) + len(onto.data_assertions)),
+        # A repeated assertion is one fact, as in the file's round trip.
+        ("assertions", len({ax.identity() for ax in onto.obj_assertions + onto.data_assertions})),
     ]
     for key, value in counts:
         print(f"{key}\t{value}")

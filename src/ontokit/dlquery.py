@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Optional, Union
 
 from .model import E_SYNTAX, E_UNKNOWN_REF, E_UNSUPPORTED_MODE, Kind, Literal, Ontology
@@ -42,20 +44,57 @@ class QueryMode(Enum):
 
 @dataclass(frozen=True)
 class _Expr:
-    """Base of the expression nodes: `format_expr` keeps a node's text here.
-    It is a field, not a `__dict__` entry, so attribute reads stay fast."""
+    """Base of the expression nodes. Each node class has its own `render`,
+    `check_names`, `extension` (its instances as a mask over the sorted
+    individuals) and `named_conjuncts`. `format_expr` keeps a node's text in
+    `_text`, a field rather than a `__dict__` entry, so attribute reads stay
+    fast."""
 
     _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
+    def named_conjuncts(self) -> list[str]:
+        """The named classes whose intersection this is, for the taxonomy
+        modes; a restriction has none."""
+        raise QueryEvalError(
+            E_UNSUPPORTED_MODE,
+            "subclass/superclass modes support only named classes and their intersections",
+        )
 
 
 @dataclass(frozen=True)
 class Named(_Expr):
     name: str
 
+    def render(self) -> str:
+        return self.name
+
+    def check_names(self, o: Ontology) -> None:
+        _need(o, self.name, Kind.CLASS)
+
+    def extension(self, o: Ontology, r: Realization) -> int:
+        return r.members_of.masks[self.name]
+
+    def named_conjuncts(self) -> list[str]:
+        return [self.name]
+
 
 @dataclass(frozen=True)
 class And(_Expr):
     parts: tuple["ClassExpr", ...]
+
+    def render(self) -> str:
+        # `and` is associative and the parser flattens it: no part needs parentheses.
+        return " and ".join(map(format_expr, self.parts))
+
+    def check_names(self, o: Ontology) -> None:
+        for p in self.parts:
+            p.check_names(o)
+
+    def extension(self, o: Ontology, r: Realization) -> int:
+        return reduce(and_, (p.extension(o, r) for p in self.parts))
+
+    def named_conjuncts(self) -> list[str]:
+        return [name for p in self.parts for name in p.named_conjuncts()]
 
 
 @dataclass(frozen=True)
@@ -63,11 +102,38 @@ class Some(_Expr):
     prop: str
     filler: "ClassExpr"
 
+    def render(self) -> str:
+        filler = format_expr(self.filler)
+        if not isinstance(self.filler, Named):
+            filler = f"({filler})"
+        return f"{self.prop} some {filler}"
+
+    def check_names(self, o: Ontology) -> None:
+        _need(o, self.prop, Kind.OBJECT_PROPERTY)
+        self.filler.check_names(o)
+
+    def extension(self, o: Ontology, r: Realization) -> int:
+        """The OR of the subject masks of the filler's members, each looked
+        up as an object of the property."""
+        targets = o.assertion_index[self.prop]
+        members = r.members_of.names(self.filler.extension(o, r))
+        return reduce(or_, filter(None, map(targets.get, members)), 0)
+
 
 @dataclass(frozen=True)
 class ValueObj(_Expr):
     prop: str
     individual: str
+
+    def render(self) -> str:
+        return f"{self.prop} value {self.individual}"
+
+    def check_names(self, o: Ontology) -> None:
+        _need(o, self.prop, Kind.OBJECT_PROPERTY)
+        _need(o, self.individual, Kind.INDIVIDUAL)
+
+    def extension(self, o: Ontology, r: Realization) -> int:
+        return o.assertion_index[self.prop].get(self.individual, 0)
 
 
 @dataclass(frozen=True)
@@ -75,8 +141,24 @@ class ValueData(_Expr):
     prop: str
     value: Literal
 
+    def render(self) -> str:
+        return f"{self.prop} value {self.value.to_oft()}"
+
+    def check_names(self, o: Ontology) -> None:
+        _need(o, self.prop, Kind.DATA_PROPERTY)
+
+    def extension(self, o: Ontology, r: Realization) -> int:
+        return o.assertion_index[self.prop].get(self.value, 0)
+
 
 ClassExpr = Union[Named, And, Some, ValueObj, ValueData]
+
+
+def _need(o: Ontology, name: str, kind: Kind) -> None:
+    found = o.symbols.get(name)
+    if found is not kind:
+        why = "not declared" if found is None else f"declared as {found.value}, not {kind.value}"
+        raise QueryEvalError(E_UNKNOWN_REF, f"{name} is {why}")
 
 
 class QuerySyntaxError(ValueError):
@@ -107,44 +189,21 @@ def format_expr(expr: ClassExpr) -> str:
     """
     text = expr._text
     if text is None:
-        text = _render(expr)
+        text = expr.render()
         object.__setattr__(expr, "_text", text)
     return text
 
 
-def _render(expr: ClassExpr) -> str:
-    if isinstance(expr, Named):
-        return expr.name
-    if isinstance(expr, And):
-        return " and ".join(
-            f"({format_expr(p)})" if isinstance(p, And) else format_expr(p)
-            for p in expr.parts
-        )
-    if isinstance(expr, Some):
-        filler = format_expr(expr.filler)
-        if not isinstance(expr.filler, Named):
-            filler = f"({filler})"
-        return f"{expr.prop} some {filler}"
-    if isinstance(expr, ValueObj):
-        return f"{expr.prop} value {expr.individual}"
-    assert isinstance(expr, ValueData)
-    return f"{expr.prop} value {expr.value.to_oft()}"
-
-
 def make_and(parts: Iterable[ClassExpr]) -> ClassExpr:
     """Normalized intersection: flattened, duplicate-free, sorted."""
-    flat: list[ClassExpr] = []
-    for p in parts:
-        flat.extend(p.parts if isinstance(p, And) else [p])
     unique: dict[str, ClassExpr] = {}
-    for p in flat:
-        unique.setdefault(format_expr(p), p)
+    for p in parts:
+        for q in p.parts if isinstance(p, And) else (p,):
+            unique.setdefault(format_expr(q), q)
     ordered = [unique[k] for k in sorted(unique)]
     if not ordered:
         raise ValueError("intersection needs at least one part")
-    if len(ordered) == 1:
-        return ordered[0]
-    return And(tuple(ordered))
+    return ordered[0] if len(ordered) == 1 else And(tuple(ordered))
 
 
 class _Parser:
@@ -231,73 +290,6 @@ def parse_query(text: str) -> ClassExpr:
     return expr
 
 
-def _check_names(o: Ontology, expr: ClassExpr) -> None:
-    def need(name: str, kind: Kind) -> None:
-        found = o.symbols.get(name)
-        if found is None:
-            raise QueryEvalError(E_UNKNOWN_REF, f"{name} is not declared")
-        if found is not kind:
-            raise QueryEvalError(
-                E_UNKNOWN_REF,
-                f"{name} is declared as {found.value}, not {kind.value}",
-            )
-
-    if isinstance(expr, Named):
-        need(expr.name, Kind.CLASS)
-    elif isinstance(expr, And):
-        for p in expr.parts:
-            _check_names(o, p)
-    elif isinstance(expr, Some):
-        need(expr.prop, Kind.OBJECT_PROPERTY)
-        _check_names(o, expr.filler)
-    elif isinstance(expr, ValueObj):
-        need(expr.prop, Kind.OBJECT_PROPERTY)
-        need(expr.individual, Kind.INDIVIDUAL)
-    else:
-        assert isinstance(expr, ValueData)
-        need(expr.prop, Kind.DATA_PROPERTY)
-
-
-def _extension(o: Ontology, r: Realization, expr: ClassExpr) -> frozenset[str]:
-    if isinstance(expr, Named):
-        return r.members_of[expr.name]
-    if isinstance(expr, And):
-        result = _extension(o, r, expr.parts[0])
-        for p in expr.parts[1:]:
-            result &= _extension(o, r, p)
-        return result
-    if isinstance(expr, Some):
-        filler = _extension(o, r, expr.filler)
-        return frozenset(
-            ax.subject
-            for ax in o.obj_assertions
-            if ax.prop == expr.prop and ax.object in filler
-        )
-    if isinstance(expr, ValueObj):
-        return frozenset(
-            ax.subject
-            for ax in o.obj_assertions
-            if ax.prop == expr.prop and ax.object == expr.individual
-        )
-    assert isinstance(expr, ValueData)
-    return frozenset(
-        ax.subject
-        for ax in o.data_assertions
-        if ax.prop == expr.prop and ax.value == expr.value
-    )
-
-
-def _named_conjuncts(expr: ClassExpr) -> list[str]:
-    if isinstance(expr, Named):
-        return [expr.name]
-    if isinstance(expr, And) and all(isinstance(p, Named) for p in expr.parts):
-        return [p.name for p in expr.parts]
-    raise QueryEvalError(
-        E_UNSUPPORTED_MODE,
-        "subclass/superclass modes support only named classes and their intersections",
-    )
-
-
 def eval_query(
     o: Ontology,
     c: TaxonomyClosure,
@@ -307,20 +299,22 @@ def eval_query(
 ) -> list[str]:
     """Evaluate an expression in the given result mode; results are sorted.
 
-    Direct modes keep only the result elements closest to the query class
-    (no other result element lies between them and it).
+    An instance query computes one mask over `r.members_of.universe`, the
+    sorted individuals, and decodes it once, so its answer comes out in
+    bit order, which is sorted order. A taxonomy query intersects the
+    closure masks of its named classes. Direct modes keep only the result
+    elements closest to the query class (no other result element lies
+    between them and it).
     """
-    _check_names(o, expr)
+    expr.check_names(o)
     if mode is QueryMode.INSTANCES:
-        return sorted(_extension(o, r, expr))
+        return list(r.members_of.names(expr.extension(o, r)))
 
     # Both closure relations are strict, so the intersection never holds a
     # query class itself.
     upward = mode in (QueryMode.SUPERCLASSES, QueryMode.DIRECT_SUPERCLASSES)
     along, across = (c.ancestors, c.descendants) if upward else (c.descendants, c.ancestors)
-    result = -1
-    for name in _named_conjuncts(expr):
-        result &= along.masks[name]
+    result = reduce(and_, (along.masks[name] for name in expr.named_conjuncts()))
     found = along.names(result)
     if mode in (QueryMode.DIRECT_SUBCLASSES, QueryMode.DIRECT_SUPERCLASSES):
         found = [x for x in found if not across.masks[x] & result]

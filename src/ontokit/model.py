@@ -494,6 +494,31 @@ class Ontology:
         return self._by_variant.get(variant, ())
 
     @cached_property
+    def individual_order(self) -> tuple[str, ...]:
+        """The individuals sorted by name: bit i of every mask over
+        individuals (`realize`'s `members_of`, `assertion_index`) stands for
+        the i-th."""
+        return tuple(sorted(self.individuals))
+
+    @cached_property
+    def assertion_index(self) -> dict[str, dict]:
+        """For each declared property, each asserted object (an individual,
+        or a literal) to the mask of its subjects over `individual_order`.
+        Literals equal by `key()` share one entry. Only instance queries
+        read it, so it is built on their first read."""
+        bit = {name: 1 << i for i, name in enumerate(self.individual_order)}
+        index: dict[str, dict] = {
+            p: {} for p in self.object_properties | self.data_properties
+        }
+        for ax in self._all(ObjAssertion):
+            targets = index[ax.prop]
+            targets[ax.object] = targets.get(ax.object, 0) | bit[ax.subject]
+        for ax in self._all(DataAssertion):
+            targets = index[ax.prop]
+            targets[ax.value] = targets.get(ax.value, 0) | bit[ax.subject]
+        return index
+
+    @cached_property
     def classes(self) -> frozenset[str]:
         """Declared classes, excluding the implicit root."""
         return self._names_of(Kind.CLASS) - {THING}

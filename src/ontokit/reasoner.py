@@ -40,6 +40,8 @@ class MaskView(Mapping[str, frozenset[str]]):
 
     def names(self, mask: int) -> Iterator[str]:
         """The universe members whose bits are set in `mask`, in bit order."""
+        if mask < 0:
+            raise ValueError(f"a mask is never negative: {mask}")
         return compress(self.universe, f"{mask:b}"[::-1].encode().translate(_BIT_BYTES))
 
     def __getitem__(self, key: str) -> frozenset[str]:
@@ -80,8 +82,11 @@ class TaxonomyClosure:
 class Realization:
     """Inferred individual memberships under subsumption.
 
-    `members_of` masks are over the sorted individuals, `types_of` masks
-    over the closure's class order.
+    `members_of` masks are over `Ontology.individual_order`, the sorted
+    individuals, and `types_of` masks over the closure's class order.
+    Instance queries compute on the `members_of` masks, with
+    `Ontology.assertion_index` over the same universe, and decode only
+    their answer.
     """
 
     members_of: MaskView
@@ -207,7 +212,7 @@ def realize(o: Ontology, closure: TaxonomyClosure) -> Realization:
     those types; `members_of` holds the inverse view with an entry (possibly
     empty) for every class.
     """
-    individuals = sorted(o.individuals)
+    individuals = o.individual_order
     anc = closure.ancestors.masks
     position = closure.position
     members = dict.fromkeys(closure.order, 0)

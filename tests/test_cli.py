@@ -134,6 +134,22 @@ class TestStats:
             "assertions\t5\n"
         )
 
+    def test_repeated_assertions_count_once(self, tmp_path, capsys):
+        """A repeated `rel` line and two lexical forms of one number are one
+        assertion each, as in the file's `serialize_oft` round trip."""
+        text = (
+            "ontology t\nclass A\nobjprop p\ndataprop n type number card multiple\n"
+            "individual i type A\nrel i p i\nrel i p i\nattr i n 1\nattr i n 1.0\n"
+        )
+        onto, diags = ontokit.load_sources([("t.oft", text)])
+        assert onto is not None, diags
+        outputs = []
+        for name, body in [("t.oft", text), ("round.oft", ontokit.serialize_oft(onto))]:
+            assert run(["stats", write(tmp_path / name, body)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].endswith("individuals\t1\nassertions\t2\n")
+
 
 class TestExportDot:
     def test_deterministic_output(self, corpus_files, capsys):

@@ -26,8 +26,14 @@ from ontokit.dlquery import (
     make_and,
     parse_query,
 )
+from ontokit.corpus import load_corpus
+from ontokit.exchange import export_dot, ingest_csv, merge
 from ontokit.model import (
+    Cardinality,
     ClassDecl,
+    DataAssertion,
+    DataPropDecl,
+    FacetSpec,
     IndividualDecl,
     Literal,
     ObjAssertion,
@@ -39,6 +45,7 @@ from ontokit.model import (
 )
 from ontokit.oft import scan
 from ontokit.reasoner import compute_closure, realize
+from ontokit.validator import validate
 
 
 def setup_ontology(axioms):
@@ -259,6 +266,82 @@ class TestEvalInstances:
             expr = parse_query(text)
             assert parse_query(format_expr(expr)) == expr
             assert eval_query(onto, closure, realization, expr, QueryMode.INSTANCES) == ["i"]
+
+
+class TestMaskEvaluation:
+    """Instance queries as masks over the sorted individuals, with each
+    property's assertions indexed on the first instance query."""
+
+    @staticmethod
+    def extended(rng):
+        """A random ontology plus the edge cases: a declared class with no
+        members, properties with no assertions, numbers asserted in one
+        lexical form and queried in another, and individuals whose
+        declaration order is not their sorted order."""
+        onto = bruteforce.random_ontology(rng, n_classes=8, n_individuals=8, n_assertions=20)
+        individuals = ["zeta", "Alpha", "_mid"] + sorted(onto.individuals)
+        classes = sorted(onto.classes)
+        extra = [
+            ClassDecl("Empty"),
+            ObjPropDecl("op_none"),
+            DataPropDecl("dp_none", FacetSpec(ValueType.NUMBER)),
+            DataPropDecl("num", FacetSpec(ValueType.NUMBER, None, Cardinality.MULTIPLE)),
+        ]
+        extra += [IndividualDecl(name, (rng.choice(classes),)) for name in individuals[:3]]
+        for lexical in ("1.0", "2e3", "-3.25"):
+            extra.append(DataAssertion(rng.choice(individuals), "num", Literal(ValueType.NUMBER, lexical)))
+        extra += [ObjAssertion(rng.choice(individuals), "op0", rng.choice(individuals)) for _ in range(4)]
+        built, diags = build_ontology("t", extra, base=onto)
+        assert built is not None, diags
+        return built, individuals
+
+    def test_matches_bruteforce_oracle(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            onto, individuals = self.extended(rng)
+            closure, _ = compute_closure(onto)
+            realization = realize(onto, closure)
+            exprs = [bruteforce.random_expr(rng, onto, depth=3) for _ in range(6)]
+            exprs += [
+                Named("Empty"),
+                Some("op0", Named(THING)),
+                Some("op1", Named("Empty")),
+                Some("op0", Some("op1", Named(THING))),
+                Some("op_none", Named(THING)),
+                ValueObj("op_none", rng.choice(individuals)),
+                ValueData("dp_none", Literal(ValueType.NUMBER, "1")),
+                ValueData("num", Literal(ValueType.NUMBER, "1")),
+                ValueData("num", Literal(ValueType.NUMBER, "2000")),
+                ValueData("num", Literal(ValueType.NUMBER, "-3.250")),
+                make_and([Named(THING), Some("op0", Named(rng.choice(sorted(onto.classes))))]),
+            ]
+            for expr in exprs:
+                got = eval_query(onto, closure, realization, expr, QueryMode.INSTANCES)
+                assert got == sorted(bruteforce.oracle_instances(onto, expr)), format_expr(expr)
+
+    def test_index_is_built_by_instance_queries_only(self):
+        """Checking, exporting, merging, ingesting and the taxonomy modes
+        leave the assertion index unbuilt; the first instance query builds
+        it and the next one reuses it."""
+        onto = load_corpus()
+        closure, _ = compute_closure(onto)
+        realization = realize(onto, closure)
+        validate(onto, closure, realization)
+        export_dot(onto, closure, inferred=True)
+        report = merge(onto, load_corpus(), onto.name)
+        rows, diags = ingest_csv(onto, "id,year\nNew_date,1999\n", "Species", [("year", "has_date_of_origin")])
+        assert not diags
+        combined, diags = build_ontology(onto.name, rows, base=onto)
+        assert combined is not None, diags
+        for mode in QueryMode:
+            if mode is not QueryMode.INSTANCES:
+                eval_query(onto, closure, realization, Named("Dates"), mode)
+        for built in (onto, report.merged, combined):
+            assert "assertion_index" not in built.__dict__
+        eval_query(onto, closure, realization, parse_query("has_benefits some Health"), QueryMode.INSTANCES)
+        index = onto.__dict__["assertion_index"]
+        eval_query(onto, closure, realization, parse_query("has_date_of_origin value 1930"), QueryMode.INSTANCES)
+        assert onto.__dict__["assertion_index"] is index
 
 
 class TestEvalClassModes:

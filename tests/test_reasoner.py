@@ -15,7 +15,7 @@ from ontokit.model import (
     THING,
     build_ontology,
 )
-from ontokit.reasoner import applicable_properties, compute_closure, realize
+from ontokit.reasoner import MaskView, applicable_properties, compute_closure, realize
 
 
 def closure_of(axioms):
@@ -112,6 +112,17 @@ class TestDeepTaxonomy:
             realization.members_of["Nope"]
         with pytest.raises(TypeError):
             closure.ancestors["C0001"] = frozenset()
+
+
+class TestMaskView:
+    def test_negative_mask_rejected(self):
+        """`f"{-1:b}"` is "-1", which would decode as the first two members;
+        an intersection folded from -1 with no part would hide that way."""
+        view = MaskView({}, ["a", "b", "c"])
+        assert list(view.names(0b101)) == ["a", "c"]
+        for mask in (-1, -2, -(1 << 70)):
+            with pytest.raises(ValueError, match="never negative"):
+                view.names(mask)
 
 
 class TestCycles:
