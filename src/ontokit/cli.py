@@ -93,7 +93,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     try:
         expr = parse_query(args.query)
     except QuerySyntaxError as exc:
-        raise _Failed([error(exc.code, exc.message + f" (column {exc.column})", "<query>", 1)])
+        raise _Failed([exc.diagnostic("<query>", 1)])
     try:
         names = eval_query(onto, closure, realize(onto, closure), expr, QueryMode(args.mode))
     except QueryEvalError as exc:

@@ -17,8 +17,8 @@ from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Optional, Union
 
-from .model import E_SYNTAX, E_UNKNOWN_REF, E_UNSUPPORTED_MODE, Kind, Literal, Ontology
-from .oft import LITERAL_KINDS, Token, scan, token_pattern
+from .model import E_UNKNOWN_REF, E_UNSUPPORTED_MODE, Kind, Literal, Ontology
+from .oft import LITERAL_KINDS, SyntaxFault, TokenCursor, token_pattern
 from .reasoner import Realization, TaxonomyClosure
 
 _QUERY_TOKENS = token_pattern(
@@ -161,14 +161,8 @@ def _need(o: Ontology, name: str, kind: Kind) -> None:
         raise QueryEvalError(E_UNKNOWN_REF, f"{name} is {why}")
 
 
-class QuerySyntaxError(ValueError):
+class QuerySyntaxError(SyntaxFault):
     """Malformed query text; `column` is 1-based."""
-
-    def __init__(self, message: str, column: int):
-        super().__init__(f"{message} (column {column})")
-        self.message = message
-        self.column = column
-        self.code = E_SYNTAX
 
 
 class QueryEvalError(ValueError):
@@ -206,26 +200,14 @@ def make_and(parts: Iterable[ClassExpr]) -> ClassExpr:
     return ordered[0] if len(ordered) == 1 else And(tuple(ordered))
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = scan(_QUERY_TOKENS, text, QuerySyntaxError)
-        self.pos = 0
-        self.end_col = len(text) + 1
+class _Parser(TokenCursor):
+    """The query grammar, read through a token cursor."""
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def _fail(self, message: str) -> QuerySyntaxError:
-        tok = self.peek()
-        return QuerySyntaxError(message, tok[2] if tok else self.end_col)
+    __slots__ = ()
 
     def expr(self, depth: int) -> ClassExpr:
         parts = [self.term(depth)]
-        while True:
-            tok = self.peek()
-            if tok is None or tok[:2] != ("keyword", "and"):
-                break
-            self.pos += 1
+        while self.skip("keyword", "and"):
             parts.append(self.term(depth))
         # A lone term is already normalized.
         return parts[0] if len(parts) == 1 else make_and(parts)
@@ -233,60 +215,37 @@ class _Parser:
     def term(self, depth: int) -> ClassExpr:
         """A term nested `depth` levels deep."""
         if depth > MAX_NESTING:
-            raise self._fail(f"query nests deeper than {MAX_NESTING} levels")
-        tok = self.peek()
-        if tok is None:
-            raise self._fail("expected a class name or '('")
-        if tok[0] == "lparen":
-            self.pos += 1
+            raise self.fail(f"query nests deeper than {MAX_NESTING} levels")
+        if self.skip("lparen"):
             inner = self.expr(depth + 1)
-            closing = self.peek()
-            if closing is None or closing[0] != "rparen":
-                raise self._fail("expected ')'")
-            self.pos += 1
+            if not self.skip("rparen"):
+                raise self.fail("expected ')'")
             return inner
-        if tok[0] != "ident":
-            raise self._fail(f"expected a class name or '(', got {tok[1]!r}")
-        self.pos += 1
-        name = tok[1]
-        nxt = self.peek()
-        if nxt is not None and nxt[:2] == ("keyword", "some"):
-            self.pos += 1
-            filler = self.peek()
-            in_parens = filler is not None and filler[0] == "lparen"
-            return Some(name, self.term(depth if in_parens else depth + 1))
-        if nxt is not None and nxt[:2] == ("keyword", "value"):
-            self.pos += 1
-            val = self.peek()
-            if val is None:
-                raise self._fail("expected an individual or literal after 'value'")
-            if val[0] == "ident":
+        name = self.take("ident", "a class name or '('")
+        if self.skip("keyword", "some"):
+            return Some(name, self.term(depth if self.at("lparen") else depth + 1))
+        if self.skip("keyword", "value"):
+            kind, individual, _ = self.peek()
+            if kind == "ident":
                 self.pos += 1
-                return ValueObj(name, val[1])
-            if val[0] in LITERAL_KINDS:
-                self.pos += 1
-                try:
-                    return ValueData(name, Literal(LITERAL_KINDS[val[0]], val[1]))
-                except ValueError as exc:  # a line break, a number out of range
-                    raise QuerySyntaxError(str(exc), val[2]) from None
-            raise self._fail(
-                f"expected an individual or literal after 'value', got {val[1]!r}"
-            )
+                return ValueObj(name, individual)
+            if kind in LITERAL_KINDS:
+                return ValueData(name, self.literal(Literal))
+            raise self.expected("an individual or literal after 'value'")
         return Named(name)
 
 
 def parse_query(text: str) -> ClassExpr:
     """Parse query text into a normalized expression.
 
-    Raises QuerySyntaxError with a 1-based column on malformed input and on
-    nesting deeper than `MAX_NESTING`; name resolution is deferred to
-    evaluation.
+    Reads the tokens with a `TokenCursor`, as the OFT token path does, and
+    raises `QuerySyntaxError`, a `SyntaxFault`, with a 1-based column on
+    malformed input and on nesting deeper than `MAX_NESTING`; name
+    resolution is deferred to evaluation.
     """
-    parser = _Parser(text)
+    parser = _Parser(text, _QUERY_TOKENS, QuerySyntaxError)
     expr = parser.expr(0)
-    trailing = parser.peek()
-    if trailing is not None:
-        raise QuerySyntaxError(f"unexpected token {trailing[1]!r}", trailing[2])
+    parser.expect_end("token")
     return expr
 
 

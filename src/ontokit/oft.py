@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .model import (
     Axiom,
@@ -51,6 +51,8 @@ LITERAL_KINDS = {
 #: A token: (kind, text, 1-based column). String tokens carry the unescaped
 #: body; kinds are the group names of `token_pattern`, plus "datetime".
 Token = tuple[str, str, int]
+
+_T = TypeVar("_T")
 
 # Group names of `token_pattern` that `scan` handles itself; every other
 # kind, a caller's punctuation included, is a plain token.
@@ -206,108 +208,127 @@ class ParseResult:
     diagnostics: list[Diagnostic]
 
 
-class _LineError(Exception):
-    def __init__(self, message: str, col: int, code: str = E_SYNTAX):
-        super().__init__(message)
+class SyntaxFault(ValueError):
+    """A malformed OFT line or query; `column` is 1-based. Its text is
+    `message (column N)`, as every syntax diagnostic shows it."""
+
+    def __init__(self, message: str, column: int, code: str = E_SYNTAX):
+        super().__init__(f"{message} (column {column})")
         self.message = message
-        self.col = col
+        self.column = column
         self.code = code
 
+    def diagnostic(self, file: str, line: int) -> Diagnostic:
+        return error(self.code, str(self), file, line)
 
-class _Cursor:
-    __slots__ = ("tokens", "pos", "end_col")
 
-    def __init__(self, tokens: list[Token], line_len: int):
-        self.tokens = tokens
-        self.pos = 1
-        self.end_col = line_len + 1
+class TokenCursor:
+    """A reading position in the tokens of one OFT line or one query.
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    The tokens end with an `end` token at the column after the text, so a
+    reader never runs past them. Every fault is `fault(message, column)`.
+    """
 
-    def take(self, kind: str, what: str) -> Token:
-        if self.pos >= len(self.tokens):
-            raise _LineError(f"expected {what}", self.end_col)
+    __slots__ = ("tokens", "pos", "fault")
+
+    def __init__(
+        self, text: str, pattern: re.Pattern[str], fault: Callable[[str, int], SyntaxFault]
+    ):
+        self.tokens = scan(pattern, text, fault)
+        self.tokens.append(("end", "", len(text) + 1))
+        self.pos = 0
+        self.fault = fault
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def fail(self, message: str) -> SyntaxFault:
+        """The fault `message` at the next token."""
+        return self.fault(message, self.tokens[self.pos][2])
+
+    def expected(self, what: str) -> SyntaxFault:
+        """The fault of a next token that is not `what`."""
+        kind, text, col = self.tokens[self.pos]
+        got = "" if kind == "end" else f", got {text!r}"
+        return self.fault(f"expected {what}{got}", col)
+
+    def at(self, kind: str, text: Optional[str] = None) -> bool:
+        tok = self.tokens[self.pos]
+        return tok[0] == kind and (text is None or tok[1] == text)
+
+    def skip(self, kind: str, text: Optional[str] = None) -> bool:
+        """Step past the next token if it is `kind` (and `text`); whether it did.
+        The test is `at`'s, written out: the query parser calls this several
+        times per term."""
+        tok = self.tokens[self.pos]
+        if tok[0] == kind and (text is None or tok[1] == text):
+            self.pos += 1
+            return True
+        return False
+
+    def take(self, kind: str, what: str) -> str:
+        """The text of the next token, which must be `kind`; `what` names it."""
         tok = self.tokens[self.pos]
         if tok[0] != kind:
-            raise _LineError(f"expected {what}, got {tok[1]!r}", tok[2])
+            raise self.expected(what)
         self.pos += 1
-        return tok
+        return tok[1]
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == "ident" and tok[1] == word
-
-    def at_comma(self) -> bool:
-        tok = self.peek()
-        return tok is not None and tok[0] == "comma"
-
-    def take_keyword(self, word: str) -> None:
-        if not self.at_keyword(word):
-            tok = self.peek()
-            col = tok[2] if tok else self.end_col
-            got = f", got {tok[1]!r}" if tok else ""
-            raise _LineError(f"expected {word!r}{got}", col)
+    def take_keyword(self, *words: str) -> str:
+        """The next token, which must be an identifier among `words`."""
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "ident" or text not in words:
+            raise self.expected(" or ".join(map(repr, words)))
         self.pos += 1
+        return text
 
-    def expect_end(self) -> None:
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            raise _LineError(f"unexpected trailing token {tok[1]!r}", tok[2])
+    def take_list(self, item: Callable[[], _T]) -> list[_T]:
+        """One or more `item()`s, separated by commas."""
+        items = [item()]
+        while self.skip("comma"):
+            items.append(item())
+        return items
 
+    def literal(self, make: Callable[[ValueType, str], Literal]) -> Literal:
+        """The next token as `make(value type, lexical form)`; a `ValueError`
+        of `make` (a line break in a string, a number out of range) is a
+        fault at the token."""
+        kind, text, col = self.tokens[self.pos]
+        if kind not in LITERAL_KINDS:
+            raise self.fail("expected a literal value")
+        self.pos += 1
+        try:
+            return make(LITERAL_KINDS[kind], text)
+        except ValueError as exc:
+            raise self.fault(str(exc), col) from None
 
-def _take_literal(cur: _Cursor, literal: Callable[[str, str], Literal]) -> Literal:
-    tok = cur.peek()
-    if tok is None or tok[0] not in LITERAL_KINDS:
-        raise _LineError("expected a literal value", tok[2] if tok else cur.end_col)
-    cur.pos += 1
-    try:
-        return literal(tok[0], tok[1])
-    except ValueError as exc:  # a line break in a string, a number out of range
-        raise _LineError(str(exc), tok[2]) from None
-
-
-def _take_ident_list(cur: _Cursor, what: str) -> list[str]:
-    names = [cur.take("ident", what)[1]]
-    while cur.at_comma():
-        cur.pos += 1
-        names.append(cur.take("ident", what)[1])
-    return names
+    def expect_end(self, what: str) -> None:
+        """Fail unless every token has been read; `what` names a token left over."""
+        kind, text, col = self.tokens[self.pos]
+        if kind != "end":
+            raise self.fault(f"unexpected {what} {text!r}", col)
 
 
 def _parse_dataprop(
-    cur: _Cursor, file_name: str, ln: int, literal: Callable[[str, str], Literal]
+    cur: TokenCursor, file_name: str, ln: int, literal: Callable[[ValueType, str], Literal]
 ) -> DataPropDecl:
-    name = cur.take("ident", "property name")[1]
-    domain = None
-    if cur.at_keyword("domain"):
-        cur.pos += 1
-        domain = cur.take("ident", "domain class")[1]
+    name = cur.take("ident", "property name")
+    domain = cur.take("ident", "domain class") if cur.skip("ident", "domain") else None
     cur.take_keyword("type")
-    _, vt_text, vt_col = cur.take("ident", "value type")
+    vt_col = cur.peek()[2]
+    vt_text = cur.take("ident", "value type")
     vtype = _VTYPE_KEYWORDS.get(vt_text)
     if vtype is None:
-        raise _LineError(f"unknown value type {vt_text!r}", vt_col)
-    allowed: Optional[list[Literal]] = None
-    if cur.at_keyword("allowed"):
-        cur.pos += 1
-        allowed = [_take_literal(cur, literal)]
-        while cur.at_comma():
-            cur.pos += 1
-            allowed.append(_take_literal(cur, literal))
+        raise SyntaxFault(f"unknown value type {vt_text!r}", vt_col)
+    allowed = cur.take_list(lambda: cur.literal(literal)) if cur.skip("ident", "allowed") else None
     # The facet is checked before the rest of the line is read, so its fault
     # is the one reported when the line has several.
     try:
         facet = FacetSpec(vtype, tuple(allowed) if allowed is not None else None)
     except FacetError as exc:
-        raise _LineError(exc.message, vt_col, exc.code) from None
-    if cur.at_keyword("card"):
-        cur.pos += 1
-        _, card_text, card_col = cur.take("ident", "'single' or 'multiple'")
-        if card_text not in ("single", "multiple"):
-            raise _LineError(f"expected 'single' or 'multiple', got {card_text!r}", card_col)
-        facet = replace(facet, cardinality=Cardinality(card_text))
-    cur.expect_end()
+        raise SyntaxFault(exc.message, vt_col, exc.code) from None
+    if cur.skip("ident", "card"):
+        facet = replace(facet, cardinality=Cardinality(cur.take_keyword("single", "multiple")))
     return DataPropDecl(name, facet, domain, file=file_name, line=ln)
 
 
@@ -327,11 +348,10 @@ class _Reader:
         self.axioms: list[Axiom] = []
         self.diagnostics: list[Diagnostic] = []
 
-    def literal(self, kind: str, lexical: str) -> Literal:
-        """The literal of a token kind and lexical form, built once per file:
+    def literal(self, value_type: ValueType, lexical: str) -> Literal:
+        """The literal of a value type and lexical form, built once per file:
         values repeat, and literals are immutable. Raises `ValueError`, and
         stores nothing, when `Literal` rejects the value."""
-        value_type = LITERAL_KINDS[kind]
         lit = self.literals.get((value_type, lexical))
         if lit is None:
             lit = self.literals[value_type, lexical] = Literal(value_type, lexical)
@@ -362,7 +382,7 @@ class _Reader:
             if head == "string" and "\\" in lexical:
                 lexical = _ESCAPE.sub(r"\1", lexical)
             try:
-                value = self.literal(head, lexical)
+                value = self.literal(LITERAL_KINDS[head], lexical)
             except ValueError:  # a line break, a number out of range, not a date
                 return False
             self.axioms.append(
@@ -372,69 +392,57 @@ class _Reader:
 
     def token_line(self, line: str, ln: int) -> None:
         """Parse one line through the token path: its axioms, or the
-        diagnostic of its first fault. It reads every kind of statement and
-        is the only code that reports faults; the statement pattern is a
-        shortcut past it for well-formed lines."""
+        diagnostic of its first fault. It reads every kind of statement with
+        a `TokenCursor` and is the only code that reports faults, each a
+        `SyntaxFault`; the statement pattern is a shortcut past it for
+        well-formed lines."""
         try:
-            tokens = scan(_OFT_TOKENS, line, _LineError)
-            if not tokens:
+            cur = TokenCursor(line, _OFT_TOKENS, SyntaxFault)
+            if cur.at("end"):
                 return
-            kind, head, head_col = tokens[0]
-            if kind != "ident":
-                raise _LineError(f"expected statement keyword, got {head!r}", head_col)
-            cur = _Cursor(tokens, len(line))
+            head_col = cur.peek()[2]
+            head = cur.take("ident", "statement keyword")
+            ax: Axiom
             if head == "rel":
-                subj = cur.take("ident", "subject")[1]
-                prop = cur.take("ident", "property")[1]
-                obj = cur.take("ident", "object")[1]
-                cur.expect_end()
-                self.axioms.append(ObjAssertion(subj, prop, obj, file=self.file, line=ln))
+                subj, prop = cur.take("ident", "subject"), cur.take("ident", "property")
+                ax = ObjAssertion(subj, prop, cur.take("ident", "object"), file=self.file, line=ln)
             elif head == "attr":
-                subj = cur.take("ident", "subject")[1]
-                prop = cur.take("ident", "property")[1]
-                value = _take_literal(cur, self.literal)
-                cur.expect_end()
-                self.axioms.append(DataAssertion(subj, prop, value, file=self.file, line=ln))
+                subj, prop = cur.take("ident", "subject"), cur.take("ident", "property")
+                ax = DataAssertion(subj, prop, cur.literal(self.literal), file=self.file, line=ln)
             elif head == "individual":
-                ind = cur.take("ident", "individual name")[1]
+                ind = cur.take("ident", "individual name")
                 cur.take_keyword("type")
-                types = _take_ident_list(cur, "type class")
-                cur.expect_end()
-                self.axioms.append(IndividualDecl(ind, tuple(types), file=self.file, line=ln))
+                types = cur.take_list(lambda: cur.take("ident", "type class"))
+                ax = IndividualDecl(ind, tuple(types), file=self.file, line=ln)
             elif head == "class":
-                cls = cur.take("ident", "class name")[1]
+                cls = cur.take("ident", "class name")
                 parents: list[str] = []
-                if cur.at_keyword("sub"):
-                    cur.pos += 1
-                    parents = _take_ident_list(cur, "parent class")
-                cur.expect_end()
+                if cur.skip("ident", "sub"):
+                    parents = cur.take_list(lambda: cur.take("ident", "parent class"))
+                cur.expect_end("trailing token")
                 self.class_line(cls, parents, ln)
+                return
             elif head == "objprop":
-                prop = cur.take("ident", "property name")[1]
-                domain = rng = None
-                if cur.at_keyword("domain"):
-                    cur.pos += 1
-                    domain = cur.take("ident", "domain class")[1]
-                if cur.at_keyword("range"):
-                    cur.pos += 1
-                    rng = cur.take("ident", "range class")[1]
-                cur.expect_end()
-                self.axioms.append(ObjPropDecl(prop, domain, rng, file=self.file, line=ln))
+                prop = cur.take("ident", "property name")
+                domain = cur.take("ident", "domain class") if cur.skip("ident", "domain") else None
+                rng = cur.take("ident", "range class") if cur.skip("ident", "range") else None
+                ax = ObjPropDecl(prop, domain, rng, file=self.file, line=ln)
             elif head == "dataprop":
-                self.axioms.append(_parse_dataprop(cur, self.file, ln, self.literal))
+                ax = _parse_dataprop(cur, self.file, ln, self.literal)
             elif head == "ontology":
-                tok = cur.take("ident", "ontology name")
-                cur.expect_end()
+                name = cur.take("ident", "ontology name")
+                cur.expect_end("trailing token")
                 if self.have_header:
-                    raise _LineError("duplicate ontology header", head_col)
-                self.name = tok[1]
+                    raise SyntaxFault("duplicate ontology header", head_col)
+                self.name = name
                 self.have_header = True
+                return
             else:
-                raise _LineError(f"unknown statement {head!r}", head_col)
-        except _LineError as exc:
-            self.diagnostics.append(
-                error(exc.code, f"{exc.message} (column {exc.col})", self.file, ln)
-            )
+                raise SyntaxFault(f"unknown statement {head!r}", head_col)
+            cur.expect_end("trailing token")
+            self.axioms.append(ax)
+        except SyntaxFault as fault:
+            self.diagnostics.append(fault.diagnostic(self.file, ln))
 
 
 def parse_oft(source: str, file_name: str = "<input>") -> ParseResult:

@@ -160,26 +160,17 @@ def compute_closure(o: Ontology) -> tuple[Optional[TaxonomyClosure], list[Diagno
     components = _strongly_connected(nodes, lambda n: sorted(parents[n]))
     cycles = sorted(sorted(c) for c in components if len(c) > 1)
     if cycles:
-        diags = []
-        for cycle in cycles:
-            members = set(cycle)
-            edges = [
-                ax
-                for ax in o.axioms
-                if isinstance(ax, SubClassOf)
-                and ax.child in members
-                and ax.parent in members
-            ]
-            anchor = min(edges, key=lambda ax: (ax.file, ax.line), default=None)
-            diags.append(
-                error(
-                    E_CYCLE,
-                    "classes form a subclass cycle: " + ", ".join(cycle),
-                    anchor.file if anchor else "",
-                    anchor.line if anchor else 0,
-                )
-            )
-        return None, diags
+        # One pass over the edges finds each cycle's earliest internal edge.
+        cycle_of = {name: i for i, cycle in enumerate(cycles) for name in cycle}
+        anchors: dict[int, tuple[str, int]] = {}
+        for ax in o._all(SubClassOf):
+            i = cycle_of.get(ax.child)
+            if i is not None and cycle_of.get(ax.parent) == i:
+                anchors[i] = min(anchors.get(i, (ax.file, ax.line)), (ax.file, ax.line))
+        return None, [
+            error(E_CYCLE, "classes form a subclass cycle: " + ", ".join(cycle), *anchors[i])
+            for i, cycle in enumerate(cycles)
+        ]
 
     # Without cycles Tarjan emits every class after its parents.
     order = tuple(c[0] for c in components)

@@ -111,6 +111,25 @@ def oracle_instances(onto: Ontology, expr: ClassExpr) -> set[str]:
     }
 
 
+def oracle_cycles(onto: Ontology) -> list[tuple[str, str, int]]:
+    """`(message, file, line)` of each subclass cycle, by direct definition:
+    classes that reach each other under Warshall reachability form a cycle,
+    anchored at its earliest `(file, line)` edge between two of its classes."""
+    reach = warshall_reachability(onto.direct_parents)
+    cycles = {
+        frozenset(d for d in reach[c] if c in reach[d]) for c in reach if c in reach[c]
+    }
+    found = []
+    for cycle in cycles:
+        anchor = min(
+            (ax.file, ax.line)
+            for ax in onto.axioms
+            if isinstance(ax, SubClassOf) and ax.child in cycle and ax.parent in cycle
+        )
+        found.append(("classes form a subclass cycle: " + ", ".join(sorted(cycle)), *anchor))
+    return sorted(found)
+
+
 def oracle_validate(onto: Ontology) -> list[tuple[str, str, int]]:
     """`(code, file, line)` of every validator finding, by direct definition:
     membership by path walking, single cardinality by a scan of the earlier

@@ -18,6 +18,7 @@ import ontokit
 from ontokit.cli import run
 from ontokit.dlquery import MAX_NESTING
 from ontokit.corpus import corpus_paths
+from ontokit.oft import load_sources, serialize_oft
 
 
 @pytest.fixture()
@@ -74,6 +75,15 @@ class TestCheck:
         path = write(tmp_path / "c.oft", "class A sub B\nclass B sub A\n")
         assert run(["check", path]) == 1
         assert "E_CYCLE" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("command", [["query", "-q", "A"], ["export-dot"]])
+    def test_cycle_stops_query_and_export(self, tmp_path, capsys, command):
+        path = write(tmp_path / "c.oft", "class A sub B\nclass B sub A\n")
+        assert run([command[0], path, *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}:1: error E_CYCLE classes form a subclass cycle: A, B\n"
 
 
 class TestQuery:
@@ -262,6 +272,37 @@ class TestIngest:
         assert code == 1
         assert "E_TYPE_MISMATCH" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_unknown_class_and_object_property(self, corpus_files, tmp_path, capsys):
+        csv_path = write(tmp_path / "r.csv", "id,x\n")
+        out = tmp_path / "o.oft"
+        argv = ["ingest", *corpus_files, "--csv", csv_path, "--class", "Nope"]
+        assert run([*argv, "--map", "x=has_benefits", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"{csv_path}:1: error E_UNKNOWN_REF Nope is not a declared class\n"
+            f"{csv_path}:1: error E_UNKNOWN_REF has_benefits is not a declared data property\n"
+        )
+        assert not out.exists()
+
+    def test_row_longer_than_header(self, corpus_files, tmp_path, capsys):
+        csv_path = write(tmp_path / "r.csv", "id,year\nKhalas,1800,x\n")
+        out = tmp_path / "o.oft"
+        argv = ["ingest", *corpus_files, "--csv", csv_path, "--class", "Species"]
+        assert run([*argv, "--map", "year=has_date_of_origin", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"{csv_path}:2: error E_SYNTAX row has 3 fields, header has 2\n"
+        )
+        assert not out.exists()
+
+    def test_empty_csv_writes_the_ontology_unchanged(self, corpus_files, tmp_path, capsys):
+        csv_path = write(tmp_path / "r.csv", "")
+        out = tmp_path / "o.oft"
+        argv = ["ingest", *corpus_files, "--csv", csv_path, "--class", "Species"]
+        assert run([*argv, "--map", "year=has_date_of_origin", "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        onto, _ = load_sources([(p, Path(p).read_text(encoding="utf-8")) for p in corpus_files])
+        assert out.read_text(encoding="utf-8") == serialize_oft(onto)
 
 
 class TestUsageErrors:

@@ -106,6 +106,16 @@ class TestParse:
         with pytest.raises(QuerySyntaxError):
             parse_query("A B")
 
+    def test_value_needs_an_individual_or_literal(self):
+        for text, message, column in [
+            ("p value", "expected an individual or literal after 'value'", 8),
+            ("p value (", "expected an individual or literal after 'value', got '('", 9),
+        ]:
+            with pytest.raises(QuerySyntaxError) as exc:
+                parse_query(text)
+            assert (exc.value.message, exc.value.column) == (message, column)
+            assert str(exc.value) == f"{message} (column {column})"
+
     def test_unrepresentable_literal_is_a_syntax_error(self):
         for text, message in [
             ('p value "a\nb"', "literal may not contain line breaks"),

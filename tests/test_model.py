@@ -13,6 +13,7 @@ from ontokit.model import (
     ClassDecl,
     DataAssertion,
     DataPropDecl,
+    FacetError,
     FacetSpec,
     IndividualDecl,
     Kind,
@@ -79,6 +80,11 @@ class TestFacetSpec:
         with pytest.raises(ValueError):
             FacetSpec(ValueType.NUMBER, (Literal(ValueType.STRING, "x"),))
 
+    def test_allowed_must_be_non_empty_when_present(self):
+        with pytest.raises(FacetError) as exc:
+            FacetSpec(ValueType.STRING, ())
+        assert exc.value.message == "allowed values must be non-empty when present"
+
     def test_allowed_permits_semantic_match(self):
         facet = FacetSpec(ValueType.NUMBER, (Literal(ValueType.NUMBER, "1"),))
         assert facet.permits(Literal(ValueType.NUMBER, "1.0"))
@@ -101,6 +107,20 @@ class TestBuildOntology:
         )
         assert onto.direct_parents["Dates"] == {"Date_fruit"}
         assert onto.direct_parents["Date_fruit"] == {THING}
+
+    def test_invalid_ontology_name(self):
+        onto, diags = build_ontology("1x", [])
+        assert onto is None
+        assert [(d.code, d.message) for d in diags] == [
+            ("E_SYNTAX", "invalid ontology name '1x'")
+        ]
+
+    def test_invalid_identifier(self):
+        onto, diags = build_ontology("t", [ClassDecl("true")])
+        assert onto is None
+        assert [(d.code, d.message) for d in diags] == [
+            ("E_SYNTAX", "invalid identifier 'true'")
+        ]
 
     def test_self_subclass_rejected(self):
         onto, diags = build_ontology(

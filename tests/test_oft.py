@@ -184,6 +184,16 @@ class TestDiagnostics:
             ("E_SYNTAX", "duplicate allowed value '1.0' (column 17)"),
         ]
 
+    def test_value_type_and_cardinality_words(self):
+        result = parse_oft(
+            "dataprop p type money\ndataprop q type number card bogus\n", "f.oft"
+        )
+        assert result.axioms == []
+        assert [(d.code, d.line, d.message) for d in result.diagnostics] == [
+            ("E_SYNTAX", 1, "unknown value type 'money' (column 17)"),
+            ("E_SYNTAX", 2, "expected 'single' or 'multiple', got 'bogus' (column 29)"),
+        ]
+
     def test_duplicate_header(self):
         result = parse_oft("ontology a\nontology b\n", "f.oft")
         assert result.ontology_name == "a"

@@ -168,6 +168,37 @@ class TestCycles:
         assert len(diags) == 1
         assert "C" not in diags[0].message
 
+    def test_matches_cycle_oracle_on_random_graphs(self):
+        """Each cycle's message and anchor match the oracle's, with the
+        edges spread over two files in shuffled line order."""
+        rng = random.Random(31)
+        counts = []
+        for _ in range(80):
+            names = [f"C{i}" for i in range(rng.randint(2, 20))]
+            edges = [
+                (a, b)
+                for a in names
+                for b in names
+                if a != b and rng.random() < 1.2 / len(names)
+            ]
+            edges += rng.sample(edges, len(edges) // 4)  # repeated edges
+            lines = rng.sample(range(1, 2 * len(edges) + 1), len(edges))
+            axioms = [ClassDecl(n) for n in names] + [
+                SubClassOf(a, b, file=rng.choice(["a.oft", "b.oft"]), line=ln)
+                for (a, b), ln in zip(edges, lines)
+            ]
+            onto, diags = build_ontology("t", axioms)
+            assert onto is not None, diags
+            closure, diags = compute_closure(onto)
+            expected = bruteforce.oracle_cycles(onto)
+            assert (closure is None) == bool(expected)
+            assert [(d.code, d.message, d.file, d.line) for d in diags] == [
+                ("E_CYCLE", *found) for found in expected
+            ]
+            counts.append(len(expected))
+        # Graphs without a cycle, with one, and with several all occur.
+        assert {0, 1} < set(counts)
+
 
 class TestRealization:
     def test_individual_inherits_up_the_chain(self, corpus_realization):
