@@ -15,6 +15,7 @@ from .model import (
     DataPropDecl,
     Diagnostic,
     FacetSpec,
+    Fault,
     IndividualDecl,
     Kind,
     Literal,

@@ -13,16 +13,9 @@ import sys
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .dlquery import QueryEvalError, QueryMode, QuerySyntaxError, eval_query, parse_query
+from .dlquery import QueryMode, eval_query, parse_query
 from .exchange import export_dot, ingest_csv, merge
-from .model import (
-    Diagnostic,
-    Ontology,
-    Severity,
-    build_ontology,
-    error,
-    sort_diagnostics,
-)
+from .model import Diagnostic, Fault, Ontology, Severity, build_ontology, sort_diagnostics
 from .oft import load_sources, serialize_oft
 from .reasoner import TaxonomyClosure, compute_closure, realize
 from .validator import validate
@@ -33,22 +26,18 @@ def _emit(diags: Iterable[Diagnostic]) -> None:
         print(d.render(), file=sys.stderr)
 
 
-class _BadFile(Exception):
-    """An input file that is not UTF-8 text, or a path with a NUL byte."""
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except ValueError as exc:  # UnicodeDecodeError, or "embedded null byte"
-        raise _BadFile(f"{path}: {exc}") from None
+        raise OSError(f"{path}: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except ValueError as exc:  # "embedded null byte"
-        raise _BadFile(f"{path}: {exc}") from None
+        raise OSError(f"{path}: {exc}") from None
 
 
 class _Failed(Exception):
@@ -89,15 +78,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    onto, closure = _require_closed(args.files)
+    # The query is parsed first: a malformed one is reported without a load.
     try:
         expr = parse_query(args.query)
-    except QuerySyntaxError as exc:
-        raise _Failed([exc.diagnostic("<query>", 1)])
-    try:
+        onto, closure = _require_closed(args.files)
         names = eval_query(onto, closure, realize(onto, closure), expr, QueryMode(args.mode))
-    except QueryEvalError as exc:
-        raise _Failed([error(exc.code, exc.message, "<query>", 1)])
+    except Fault as exc:
+        raise _Failed([exc.diagnostic("<query>", 1)])
     for name in names:
         print(name)
     return 0
@@ -223,7 +210,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except _Failed as exc:
         _emit(exc.args[0])
         return 1
-    except (OSError, _BadFile) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

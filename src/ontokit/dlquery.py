@@ -17,7 +17,7 @@ from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Optional, Union
 
-from .model import E_UNKNOWN_REF, E_UNSUPPORTED_MODE, Kind, Literal, Ontology
+from .model import E_UNKNOWN_REF, E_UNSUPPORTED_MODE, Fault, Kind, Literal, Ontology
 from .oft import LITERAL_KINDS, SyntaxFault, TokenCursor, token_pattern
 from .reasoner import Realization, TaxonomyClosure
 
@@ -165,13 +165,8 @@ class QuerySyntaxError(SyntaxFault):
     """Malformed query text; `column` is 1-based."""
 
 
-class QueryEvalError(ValueError):
+class QueryEvalError(Fault):
     """Unresolvable name or unsupported expression/mode combination."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
 
 
 def format_expr(expr: ClassExpr) -> str:

@@ -16,13 +16,13 @@ from .model import (
     DataAssertion,
     Diagnostic,
     E_CSV_HEADER,
-    E_CYCLE,
     E_DUP_INDIVIDUAL,
     E_KIND_CLASH,
     E_SYNTAX,
     E_TYPE_MISMATCH,
     E_UNKNOWN_REF,
     FacetSpec,
+    Fault,
     IndividualDecl,
     Kind,
     Literal,
@@ -138,6 +138,12 @@ def ingest_csv(
             diags.append(
                 error(E_CSV_HEADER, f"mapped column {header!r} not in header", file_name, 1)
             )
+    # A column read by name must be the only one of that name.
+    for header in dict.fromkeys(["id", *(h for h, _ in column_map)]):
+        if header_row.count(header) > 1:
+            diags.append(
+                error(E_CSV_HEADER, f"duplicate column {header!r} in header", file_name, 1)
+            )
     if diags:
         return [], sort_diagnostics(diags)
 
@@ -200,10 +206,8 @@ class MergeReport:
     conflicts: tuple[Diagnostic, ...]
 
 
-def _conflict(
-    ax: Axiom, a: Ontology, symbols: dict[str, Kind]
-) -> Optional[tuple[str, str]]:
-    """(code, message) when the second ontology's `ax` may not join `a`:
+def _conflict(ax: Axiom, a: Ontology, symbols: dict[str, Kind]) -> Optional[Fault]:
+    """The finding when the second ontology's `ax` may not join `a`:
     it declares a name of `a` in another kind or with another contract, or
     it refers to a name that `symbols`, a's symbols and the survivors so
     far, lacks or holds in another kind."""
@@ -212,7 +216,7 @@ def _conflict(
         decl_name, kind = decl
         prior = a.symbols.get(decl_name)
         if prior is not None and prior is not kind:
-            return (
+            return Fault(
                 E_KIND_CLASH,
                 f"{decl_name} is {prior.value} in the first ontology, "
                 f"{kind.value} in the second; keeping the first",
@@ -220,12 +224,11 @@ def _conflict(
         first = a.declarations.get(decl)
         clash = ax.contract_clash(first) if first is not None else None
         if clash is not None:
-            code, message = clash
-            return (code, f"{message}; keeping the first")
+            return Fault(clash.code, f"{clash.message}; keeping the first")
     for ref_name, wanted in ax.references():
         found = symbols.get(ref_name)
         if found is not wanted:
-            return (
+            return Fault(
                 E_UNKNOWN_REF if found is None else E_KIND_CLASH,
                 f"dropped: {ref_name} is "
                 + ("not declared" if found is None else f"declared as {found.value}")
@@ -260,7 +263,7 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
             continue
         conflict = _conflict(ax, a, symbols)
         if conflict is not None:
-            conflicts.append(error(*conflict, ax.file, ax.line))
+            conflicts.append(conflict.diagnostic(ax.file, ax.line))
             continue
         survivors.append(ax)
         decl = ax.declaration()
@@ -272,8 +275,5 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
     )
     if merged is None:
         raise AssertionError(f"merge produced an unbuildable union: {build_diags}")
-    _, cycle_diags = compute_closure(merged)
-    for d in cycle_diags:
-        if d.code == E_CYCLE:
-            conflicts.append(d)
-    return MergeReport(merged, len(survivors), tuple(sort_diagnostics(conflicts)))
+    _, cycles = compute_closure(merged)
+    return MergeReport(merged, len(survivors), tuple(sort_diagnostics(conflicts + cycles)))

@@ -101,6 +101,20 @@ def warning(code: str, message: str, file: str = "", line: int = 0) -> Diagnosti
     return Diagnostic(Severity.WARNING, code, message, file, line)
 
 
+class Fault(ValueError):
+    """A finding not yet placed in a file: a diagnostic `code` and a
+    `message`; its text is the message."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(message)
+        self.code = code
+        self.message = message
+
+    def diagnostic(self, file: str = "", line: int = 0) -> Diagnostic:
+        """The finding as an error at `file:line`."""
+        return error(self.code, str(self), file, line)
+
+
 def sort_diagnostics(diags: Iterable[Diagnostic]) -> list[Diagnostic]:
     return sorted(diags, key=lambda d: (d.file, d.line, d.code, d.message))
 
@@ -197,13 +211,8 @@ def conforms(value: Literal, value_type: ValueType) -> bool:
     return value.value_type is value_type
 
 
-class FacetError(ValueError):
-    """An inconsistent facet; `code` is the diagnostic code it reports as."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+class FacetError(Fault):
+    """An inconsistent facet."""
 
 
 @dataclass(frozen=True)
@@ -274,12 +283,12 @@ class Axiom:
         """Names the axiom refers to, paired with the kind each use demands."""
         return ()
 
-    def fault(self) -> Optional[tuple[str, str]]:
-        """(code, message) when the axiom is malformed on its own."""
+    def fault(self) -> Optional[Fault]:
+        """The finding when the axiom is malformed on its own."""
         return None
 
-    def contract_clash(self, first: Axiom) -> Optional[tuple[str, str]]:
-        """(code, message) when this re-declaration changes the contract of
+    def contract_clash(self, first: Axiom) -> Optional[Fault]:
+        """The finding when this re-declaration changes the contract of
         `first`, the earlier declaration of the same name and kind."""
         return None
 
@@ -319,9 +328,12 @@ class SubClassOf(Axiom):
     def references(self) -> tuple[tuple[str, Kind], ...]:
         return ((self.child, Kind.CLASS), (self.parent, Kind.CLASS))
 
-    def fault(self) -> Optional[tuple[str, str]]:
+    def fault(self) -> Optional[Fault]:
         if self.child == self.parent:
-            return (E_SELF_SUB, f"class {self.child} cannot be its own subclass")
+            return Fault(E_SELF_SUB, f"class {self.child} cannot be its own subclass")
+        if self.child == THING:
+            # Every class is below Thing, so an edge out of it closes a cycle.
+            return Fault(E_CYCLE, f"class {THING} cannot be a subclass of {self.parent}")
         return None
 
     def to_oft(self) -> str:
@@ -343,9 +355,9 @@ class ObjPropDecl(Axiom):
     def references(self) -> tuple[tuple[str, Kind], ...]:
         return tuple((n, Kind.CLASS) for n in (self.domain, self.range) if n is not None)
 
-    def contract_clash(self, first: ObjPropDecl) -> Optional[tuple[str, str]]:
+    def contract_clash(self, first: ObjPropDecl) -> Optional[Fault]:
         if (first.domain, first.range) != (self.domain, self.range):
-            return (E_PROP_CLASH, f"{self.name} re-declared with a different domain/range")
+            return Fault(E_PROP_CLASH, f"{self.name} re-declared with a different domain/range")
         return None
 
     def to_oft(self) -> str:
@@ -378,11 +390,11 @@ class DataPropDecl(Axiom):
     def references(self) -> tuple[tuple[str, Kind], ...]:
         return ((self.domain, Kind.CLASS),) if self.domain is not None else ()
 
-    def contract_clash(self, first: DataPropDecl) -> Optional[tuple[str, str]]:
+    def contract_clash(self, first: DataPropDecl) -> Optional[Fault]:
         if first.facet.key() != self.facet.key():
-            return (E_FACET_CLASH, f"{self.name} re-declared with a different facet")
+            return Fault(E_FACET_CLASH, f"{self.name} re-declared with a different facet")
         if first.domain != self.domain:
-            return (E_PROP_CLASH, f"{self.name} re-declared with a different domain")
+            return Fault(E_PROP_CLASH, f"{self.name} re-declared with a different domain")
         return None
 
     def to_oft(self) -> str:
@@ -411,9 +423,9 @@ class IndividualDecl(Axiom):
     def references(self) -> tuple[tuple[str, Kind], ...]:
         return tuple((t, Kind.CLASS) for t in self.types)
 
-    def fault(self) -> Optional[tuple[str, str]]:
+    def fault(self) -> Optional[Fault]:
         if not self.types:
-            return (E_SYNTAX, f"individual {self.name} needs at least one type")
+            return Fault(E_SYNTAX, f"individual {self.name} needs at least one type")
         return None
 
     def to_oft(self) -> str:
@@ -621,7 +633,7 @@ def build_ontology(
         if first is not ax:
             clash = ax.contract_clash(first)
             if clash is not None:
-                diags.append(error(*clash, ax.file, ax.line))
+                diags.append(clash.diagnostic(ax.file, ax.line))
         decl_name, kind = decl
         if not is_ident(decl_name):
             diags.append(
@@ -644,7 +656,7 @@ def build_ontology(
     for ax in axioms:
         fault = ax.fault()
         if fault is not None:
-            diags.append(error(*fault, ax.file, ax.line))
+            diags.append(fault.diagnostic(ax.file, ax.line))
         for ref_name, wanted in ax.references():
             found = symbols.get(ref_name)
             if found is None:

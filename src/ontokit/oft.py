@@ -22,6 +22,7 @@ from .model import (
     E_SYNTAX,
     FacetError,
     FacetSpec,
+    Fault,
     IDENT,
     IndividualDecl,
     Literal,
@@ -33,7 +34,6 @@ from .model import (
     ValueType,
     build_ontology,
     canonical_axioms,
-    error,
     is_datetime,
     sort_diagnostics,
 )
@@ -208,18 +208,16 @@ class ParseResult:
     diagnostics: list[Diagnostic]
 
 
-class SyntaxFault(ValueError):
+class SyntaxFault(Fault):
     """A malformed OFT line or query; `column` is 1-based. Its text is
     `message (column N)`, as every syntax diagnostic shows it."""
 
     def __init__(self, message: str, column: int, code: str = E_SYNTAX):
-        super().__init__(f"{message} (column {column})")
-        self.message = message
+        super().__init__(code, message)
         self.column = column
-        self.code = code
 
-    def diagnostic(self, file: str, line: int) -> Diagnostic:
-        return error(self.code, str(self), file, line)
+    def __str__(self) -> str:
+        return f"{self.message} (column {self.column})"
 
 
 class TokenCursor:
@@ -493,5 +491,4 @@ def load_sources(
         provenance.append(file_name)
     if diags:
         return None, sort_diagnostics(diags)
-    onto, build_diags = build_ontology(name or "unnamed", axioms, provenance)
-    return onto, sort_diagnostics(build_diags)
+    return build_ontology(name or "unnamed", axioms, provenance)

@@ -76,6 +76,24 @@ class TestCheck:
         assert run(["check", path]) == 1
         assert "E_CYCLE" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (["check", "thing.oft"], "1 errors, 0 warnings\n"),
+            (["query", "thing.oft", "-q", "A"], ""),
+            (["export-dot", "thing.oft"], ""),
+            (["stats", "thing.oft"], ""),
+            (["merge", "thing.oft", "thing.oft", "-o", "out.oft"], ""),
+        ],
+    )
+    def test_thing_below_a_class_is_a_cycle(self, tmp_path, monkeypatch, capsys, argv, stdout):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "thing.oft", "class A\nclass Thing sub A\n")
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == stdout
+        assert captured.err == "thing.oft:2: error E_CYCLE class Thing cannot be a subclass of A\n"
+        assert not (tmp_path / "out.oft").exists()
 
     @pytest.mark.parametrize("command", [["query", "-q", "A"], ["export-dot"]])
     def test_cycle_stops_query_and_export(self, tmp_path, capsys, command):
@@ -124,6 +142,38 @@ class TestQuery:
         )
         assert code == 1
         assert "E_UNSUPPORTED_MODE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "query, mode, finding",
+        [
+            (
+                "has_benefits some Health",
+                "subclasses",
+                "E_UNSUPPORTED_MODE subclass/superclass modes support only named classes "
+                "and their intersections",
+            ),
+            ("Barhee", "instances", "E_UNKNOWN_REF Barhee is declared as individual, not class"),
+        ],
+    )
+    def test_evaluation_fault_is_placed_at_the_query(
+        self, corpus_files, capsys, query, mode, finding
+    ):
+        assert run(["query", *corpus_files, "-q", query, "-m", mode]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"<query>:1: error {finding}\n")
+
+    def test_query_is_parsed_before_the_files_are_read(self, tmp_path, monkeypatch, capsys):
+        """A malformed query is the one finding shown, even beside a cyclic
+        or a missing file."""
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "c.oft", "class A sub B\nclass B sub A\n")
+        for path in ["c.oft", "missing.oft"]:
+            assert run(["query", path, "-q", "A and"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "<query>:1: error E_SYNTAX expected a class name or '(' (column 6)\n"
+            )
 
     def test_deep_nesting_is_a_diagnostic(self, corpus_files, capsys):
         for query in ["(" * 5000 + "Dates" + ")" * 5000, "has_benefits some " * 3000 + "Health"]:
@@ -285,6 +335,16 @@ class TestIngest:
         )
         assert not out.exists()
 
+    def test_repeated_id_column(self, corpus_files, tmp_path, capsys):
+        csv_path = write(tmp_path / "rows.csv", "id,name,id\nA,x,B\n")
+        out = tmp_path / "o.oft"
+        argv = ["ingest", *corpus_files, "--csv", csv_path, "--class", "Species"]
+        assert run([*argv, "--map", "name=has_common_name", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"{csv_path}:1: error E_CSV_HEADER duplicate column 'id' in header\n"
+        )
+        assert not out.exists()
+
     def test_row_longer_than_header(self, corpus_files, tmp_path, capsys):
         csv_path = write(tmp_path / "r.csv", "id,year\nKhalas,1800,x\n")
         out = tmp_path / "o.oft"
@@ -432,7 +492,10 @@ _QUERIES = st.sampled_from(
 _OFT_BYTES = st.one_of(
     st.binary(max_size=64),
     st.lists(
-        st.sampled_from(_CORPUS_LINES) | st.sampled_from(bruteforce.SCAN_FRAGMENTS), max_size=40
+        # Thing below a class is a cycle that the build itself reports.
+        st.sampled_from([*_CORPUS_LINES, "class Thing sub Date_fruit"])
+        | st.sampled_from(bruteforce.SCAN_FRAGMENTS),
+        max_size=40,
     ).map(lambda lines: "\n".join(lines).encode("utf-8")),
     st.just("\n".join(_CORPUS_LINES).encode("utf-8")),
 )

@@ -34,6 +34,7 @@ from ontokit.model import (
     DataAssertion,
     DataPropDecl,
     FacetSpec,
+    Fault,
     IndividualDecl,
     Literal,
     ObjAssertion,
@@ -429,6 +430,47 @@ class TestEvalClassModes:
         with pytest.raises(QueryEvalError) as exc:
             eval_query(corpus, corpus_closure, corpus_realization, expr, QueryMode.INSTANCES)
         assert exc.value.code == "E_UNKNOWN_REF"
+
+    @pytest.mark.parametrize(
+        "query, mode, fault_type, code, message, column",
+        [
+            (
+                "Dates and",
+                QueryMode.INSTANCES,
+                QuerySyntaxError,
+                "E_SYNTAX",
+                "expected a class name or '('",
+                10,
+            ),
+            (
+                "has_benefits some Health",
+                QueryMode.SUBCLASSES,
+                QueryEvalError,
+                "E_UNSUPPORTED_MODE",
+                "subclass/superclass modes support only named classes and their intersections",
+                None,
+            ),
+            (
+                "Barhee",
+                QueryMode.INSTANCES,
+                QueryEvalError,
+                "E_UNKNOWN_REF",
+                "Barhee is declared as individual, not class",
+                None,
+            ),
+        ],
+    )
+    def test_fault_texts(
+        self, corpus, corpus_closure, corpus_realization,
+        query, mode, fault_type, code, message, column,
+    ):
+        with pytest.raises(fault_type) as exc:
+            eval_query(corpus, corpus_closure, corpus_realization, parse_query(query), mode)
+        fault = exc.value
+        assert isinstance(fault, Fault) and isinstance(fault, ValueError)
+        text = message if column is None else f"{message} (column {column})"
+        assert (fault.code, fault.message, str(fault)) == (code, message, text)
+        assert getattr(fault, "column", None) == column
 
     def test_and_commutes(self, corpus, corpus_closure, corpus_realization):
         for mode in QueryMode:

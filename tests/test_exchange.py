@@ -236,6 +236,27 @@ class TestIngestCsv:
         _, diags = ingest_csv(onto, "id,x\nA,1\n", "Dates", [("nope", "has_year")])
         assert [d.code for d in diags] == ["E_CSV_HEADER"]
 
+    @pytest.mark.parametrize(
+        "text, column_map, header",
+        [
+            ("id,id\nq,z\n", [], "id"),
+            ("id,n,n\nq,1,2\n", [("n", "has_year")], "n"),
+        ],
+    )
+    def test_repeated_column_that_is_read(self, text, column_map, header):
+        onto = parse_built(INGEST_BASE)
+        axioms, diags = ingest_csv(onto, text, "Dates", column_map)
+        assert axioms == []
+        assert [(d.code, d.line, d.message) for d in diags] == [
+            ("E_CSV_HEADER", 1, f"duplicate column {header!r} in header")
+        ]
+
+    def test_repeated_column_that_is_not_read(self):
+        onto = parse_built(INGEST_BASE)
+        axioms, diags = ingest_csv(onto, "id,x,x\nq,1,2\n", "Dates", [])
+        assert diags == []
+        assert axioms == [IndividualDecl("q", ("Dates",), file="<csv>", line=2)]
+
     def test_missing_id_column(self):
         onto = parse_built(INGEST_BASE)
         _, diags = ingest_csv(onto, "name\nA\n", "Dates", [])
@@ -345,6 +366,9 @@ class TestMerge:
         report = merge(corpus, other, "merged")
         assert len(report.conflicts) == 1
         assert report.conflicts[0].code == "E_FACET_CLASH"
+        assert report.conflicts[0].message == (
+            "has_date_of_origin re-declared with a different facet; keeping the first"
+        )
         assert report.merged.facets["has_date_of_origin"].value_type is ValueType.NUMBER
 
     def test_kind_clash_drops_dependents(self):

@@ -15,6 +15,7 @@ from ontokit.model import (
     DataPropDecl,
     FacetError,
     FacetSpec,
+    Fault,
     IndividualDecl,
     Kind,
     Literal,
@@ -84,6 +85,32 @@ class TestFacetSpec:
         with pytest.raises(FacetError) as exc:
             FacetSpec(ValueType.STRING, ())
         assert exc.value.message == "allowed values must be non-empty when present"
+
+    @pytest.mark.parametrize(
+        "value_type, allowed, code, message",
+        [
+            (ValueType.STRING, (), "E_SYNTAX", "allowed values must be non-empty when present"),
+            (
+                ValueType.NUMBER,
+                (Literal(ValueType.NUMBER, "1"), Literal(ValueType.NUMBER, "1.0")),
+                "E_SYNTAX",
+                "duplicate allowed value '1.0'",
+            ),
+            (
+                ValueType.NUMBER,
+                (Literal(ValueType.STRING, "x"),),
+                "E_TYPE_MISMATCH",
+                "allowed value 'x' does not conform to number",
+            ),
+            (ValueType.ENUM, None, "E_SYNTAX", "enum type requires an allowed-values list"),
+        ],
+    )
+    def test_fault_texts(self, value_type, allowed, code, message):
+        with pytest.raises(FacetError) as exc:
+            FacetSpec(value_type, allowed)
+        fault = exc.value
+        assert isinstance(fault, Fault) and isinstance(fault, ValueError)
+        assert (fault.code, fault.message, str(fault)) == (code, message, message)
 
     def test_allowed_permits_semantic_match(self):
         facet = FacetSpec(ValueType.NUMBER, (Literal(ValueType.NUMBER, "1"),))
@@ -168,6 +195,18 @@ class TestBuildOntology:
         assert len(diags) >= 4  # self-sub, two unknown refs, empty types
         assert all(d.severity is Severity.ERROR for d in diags)
 
+    def test_thing_has_no_superclass(self):
+        """Every class is below Thing, so an edge out of Thing closes a
+        cycle; an edge from Thing to itself stays a self-subclass."""
+        for parent, finding in [
+            ("A", ("E_CYCLE", "class Thing cannot be a subclass of A", 2)),
+            (THING, ("E_SELF_SUB", "class Thing cannot be its own subclass", 2)),
+        ]:
+            axioms = [ClassDecl("A"), SubClassOf(THING, parent, file="f", line=2)]
+            onto, diags = build_ontology("t", axioms)
+            assert onto is None
+            assert [(d.code, d.message, d.line) for d in diags] == [finding]
+
     def test_thing_is_reserved_as_class(self):
         onto, diags = build_ontology("t", [IndividualDecl(THING, (THING,))])
         assert onto is None
@@ -183,6 +222,43 @@ class TestBuildOntology:
         )
         assert onto is None
         assert any(d.code == "E_FACET_CLASH" for d in diags)
+
+    @pytest.mark.parametrize(
+        "axioms, finding",
+        [
+            (
+                [ClassDecl("A"), SubClassOf("A", "A", file="f", line=2)],
+                ("E_SELF_SUB", "class A cannot be its own subclass", 2),
+            ),
+            (
+                [ClassDecl("A"), ObjPropDecl("p", "A"), ObjPropDecl("p", line=3)],
+                ("E_PROP_CLASH", "p re-declared with a different domain/range", 3),
+            ),
+            (
+                [
+                    DataPropDecl("d", FacetSpec(ValueType.NUMBER)),
+                    DataPropDecl("d", FacetSpec(ValueType.STRING), line=2),
+                ],
+                ("E_FACET_CLASH", "d re-declared with a different facet", 2),
+            ),
+            (
+                [
+                    ClassDecl("A"),
+                    DataPropDecl("e", FacetSpec(ValueType.STRING), "A"),
+                    DataPropDecl("e", FacetSpec(ValueType.STRING), line=3),
+                ],
+                ("E_PROP_CLASH", "e re-declared with a different domain", 3),
+            ),
+            (
+                [IndividualDecl("i", ())],
+                ("E_SYNTAX", "individual i needs at least one type", 0),
+            ),
+        ],
+    )
+    def test_axiom_finding_texts(self, axioms, finding):
+        onto, diags = build_ontology("t", axioms)
+        assert onto is None
+        assert [(d.code, d.message, d.line) for d in diags] == [finding]
 
     def test_ontology_keys_a_dict(self, corpus):
         other = build_ok([ClassDecl("A")])
