@@ -81,8 +81,10 @@ def _cmd_query(args: argparse.Namespace) -> int:
     # The query is parsed first: a malformed one is reported without a load.
     try:
         expr = parse_query(args.query)
+        mode = QueryMode(args.mode)
         onto, closure = _require_closed(args.files)
-        names = eval_query(onto, closure, realize(onto, closure), expr, QueryMode(args.mode))
+        r = realize(onto, closure) if mode is QueryMode.INSTANCES else None
+        names = eval_query(onto, closure, r, expr, mode)
     except Fault as exc:
         raise _Failed([exc.diagnostic("<query>", 1)])
     for name in names:
@@ -132,7 +134,8 @@ def _parse_column_map(raw: str) -> list[tuple[str, str]]:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    onto = _require(args.files)
+    # The result is the input plus individuals, so a cycle in the input is one in it.
+    onto, _ = _require_closed(args.files)
     try:
         column_map = _parse_column_map(args.map)
     except ValueError as exc:

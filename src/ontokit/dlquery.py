@@ -247,7 +247,7 @@ def parse_query(text: str) -> ClassExpr:
 def eval_query(
     o: Ontology,
     c: TaxonomyClosure,
-    r: Realization,
+    r: Optional[Realization],
     expr: ClassExpr,
     mode: QueryMode,
 ) -> list[str]:
@@ -258,7 +258,8 @@ def eval_query(
     bit order, which is sorted order. A taxonomy query intersects the
     closure masks of its named classes. Direct modes keep only the result
     elements closest to the query class (no other result element lies
-    between them and it).
+    between them and it). Only an instance query reads `r`, the
+    realization; the taxonomy modes take None.
     """
     expr.check_names(o)
     if mode is QueryMode.INSTANCES:

@@ -211,9 +211,9 @@ def _conflict(ax: Axiom, a: Ontology, symbols: dict[str, Kind]) -> Optional[Faul
     it declares a name of `a` in another kind or with another contract, or
     it refers to a name that `symbols`, a's symbols and the survivors so
     far, lacks or holds in another kind."""
-    decl = ax.declaration()
-    if decl is not None:
-        decl_name, kind = decl
+    kind = ax.declares
+    if kind is not None:
+        decl_name = ax.name
         prior = a.symbols.get(decl_name)
         if prior is not None and prior is not kind:
             return Fault(
@@ -221,7 +221,7 @@ def _conflict(ax: Axiom, a: Ontology, symbols: dict[str, Kind]) -> Optional[Faul
                 f"{decl_name} is {prior.value} in the first ontology, "
                 f"{kind.value} in the second; keeping the first",
             )
-        first = a.declarations.get(decl)
+        first = a.declarations.get((decl_name, kind))
         clash = ax.contract_clash(first) if first is not None else None
         if clash is not None:
             return Fault(clash.code, f"{clash.message}; keeping the first")
@@ -250,7 +250,7 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
     """
     if not is_ident(name):
         raise ValueError(f"invalid ontology name {name!r}")
-    kept_ids = {ax.identity() for ax in a.axioms}
+    kept = {variant: set(map(variant.key, group)) for variant, group in a.by_variant.items()}
     # A name of the second ontology is declared only by a surviving
     # declaration; the canonical order puts every declaration before the
     # axioms that refer to it (classes, properties, individuals, then
@@ -259,16 +259,16 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
     survivors: list[Axiom] = []
     conflicts: list[Diagnostic] = []
     for ax in canonical_axioms(b):
-        if ax.identity() in kept_ids:
+        variant = type(ax)
+        if variant.key(ax) in kept.get(variant, ()):
             continue
         conflict = _conflict(ax, a, symbols)
         if conflict is not None:
             conflicts.append(conflict.diagnostic(ax.file, ax.line))
             continue
         survivors.append(ax)
-        decl = ax.declaration()
-        if decl is not None:
-            symbols.setdefault(*decl)
+        if variant.declares is not None:
+            symbols.setdefault(ax.name, variant.declares)
 
     merged, build_diags = build_ontology(
         name, survivors, a.provenance + b.provenance, base=a

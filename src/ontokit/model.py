@@ -14,8 +14,9 @@ from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import cached_property
-from operator import methodcaller
-from typing import Iterable, Optional, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Any, Callable, ClassVar, Hashable, Iterable, Optional, Sequence
 
 #: Identifier, boolean and number syntax, shared by the validators below
 #: and the token patterns of the OFT and query scanners. The boolean words
@@ -52,6 +53,10 @@ E_UNSUPPORTED_MODE = "E_UNSUPPORTED_MODE"
 class Kind(Enum):
     """What a declared name denotes."""
 
+    # Members compare by identity; so hashing them is a C call, where
+    # Enum's is a Python one. Loading hashes one per declaration and literal.
+    __hash__ = object.__hash__
+
     CLASS = "class"
     OBJECT_PROPERTY = "object property"
     DATA_PROPERTY = "data property"
@@ -60,6 +65,8 @@ class Kind(Enum):
 
 class ValueType(Enum):
     """Data-property value types; values are the file-format keywords."""
+
+    __hash__ = object.__hash__  # as `Kind`'s
 
     STRING = "string"
     NUMBER = "number"
@@ -154,15 +161,20 @@ class Literal:
 
     Numbers carry their exact decimal lexical form and compare numerically
     ("1.0" equals "1"); every other type compares by exact lexical match.
-    The comparison key is computed once, at construction.
+    Computed once, at construction: the comparison key, the canonical
+    order (value type keyword, lexical form) and the written form (None for
+    the types that have none).
     """
 
     value_type: ValueType
     lexical: str
     _key: tuple = field(init=False, repr=False)
+    _order: tuple[str, str] = field(init=False, repr=False)
+    _text: Optional[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         vt, lex = self.value_type, self.lexical
+        text: Optional[str] = lex
         if vt is ValueType.NUMBER:
             number = parse_number(lex)
             if number is None:
@@ -173,10 +185,16 @@ class Literal:
                 raise ValueError(f"boolean must be 'true' or 'false': {lex!r}")
             if vt is ValueType.DATETIME and not is_datetime(lex):
                 raise ValueError(f"not an ISO-8601 date or date-time: {lex!r}")
+            if vt is ValueType.STRING:
+                text = '"' + lex.replace("\\", "\\\\").replace('"', '\\"') + '"'
+            elif vt in (ValueType.ANY, ValueType.ENUM):
+                text = None
             key = (vt.value, lex)
         if "\n" in lex or "\r" in lex:
             raise ValueError("literal may not contain line breaks")
         object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_order", (vt.value, lex))
+        object.__setattr__(self, "_text", text)
 
     def key(self) -> tuple:
         """Equality/hash key: numeric for numbers, lexical otherwise."""
@@ -184,12 +202,9 @@ class Literal:
 
     def to_oft(self) -> str:
         """The literal as written in OFT and query text."""
-        if self.value_type is ValueType.STRING:
-            escaped = self.lexical.replace("\\", "\\\\").replace('"', '\\"')
-            return f'"{escaped}"'
-        if self.value_type in (ValueType.ANY, ValueType.ENUM):
+        if self._text is None:
             raise ValueError(f"{self.value_type.value} literals have no written form")
-        return self.lexical
+        return self._text
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Literal):
@@ -250,38 +265,73 @@ class FacetSpec:
         return (self.value_type.value, allowed, self.cardinality.value)
 
 
+def _variant(cls: type) -> type:
+    """Make an axiom variant a slotted frozen dataclass, as `Axiom` is, whose
+    `__init__` sets each slot through its member descriptor rather than by
+    `object.__setattr__`: well under half the cost, for an axiom per line
+    loaded. It keeps the generated one's parameters, defaults and
+    annotations."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    generated = cls.__init__
+    code = generated.__code__
+    n = code.co_argcount  # `self` and the positional fields; keyword-only ones follow
+    params = code.co_varnames[: n + code.co_kwonlyargcount]
+    env = {f"_set_{name}": getattr(cls, name).__set__ for name in params[1:]}
+    signature = ", ".join([*params[:n], "*", *params[n:]])
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in params[1:])
+    exec(f"def __init__({signature}):\n{body}", env)
+    init = env["__init__"]
+    init.__defaults__, init.__kwdefaults__ = generated.__defaults__, generated.__kwdefaults__
+    init.__annotations__ = generated.__annotations__
+    cls.__init__ = init
+    return cls
+
+
+def _named(value: object) -> tuple[str, ...]:
+    """The names a reference field holds: one name, None, or a tuple of names."""
+    return value if isinstance(value, tuple) else () if value is None else (value,)
+
+
 @dataclass(frozen=True, slots=True)
 class Axiom:
     """Base for all axiom variants; carries the source location.
 
-    Each variant defines everything the rest of the program asks of an
-    axiom. The leading integer of its identity and sort key is the
-    variant's place in the canonical order.
+    Each variant, made by `_variant`, defines in its class body everything
+    the rest of the program asks of an axiom. Its class attributes serve a
+    group of axioms of the variant at once; `key`, `order` and `implicit`
+    are functions of an axiom, read from the class.
     """
+
+    tag: ClassVar[int]  # the variant's place in the canonical order
+    #: Location-free identity within the variant: duplicates and merging.
+    key: ClassVar[Callable[[Any], Hashable]]
+    #: Canonical order within the variant: byte order of names and
+    #: lexicals. Distinct keys have distinct orders.
+    order: ClassVar[Callable[[Any], Any]]
+    #: Whether an axiom only restates the implicit root, which files never
+    #: need to write; None when no axiom of the variant does.
+    implicit: ClassVar[Optional[Callable[[Any], bool]]] = None
+    declares: ClassVar[Optional[Kind]] = None  # the kind of a declaration's `name`
+    #: Each field that names other entities (a name, None or a tuple of
+    #: names), with the kind the use demands.
+    refers: ClassVar[tuple[tuple[str, Kind], ...]] = ()
 
     file: str = field(default="", kw_only=True)
     line: int = field(default=0, kw_only=True)
 
     def identity(self) -> tuple:
-        """Location-free identity used for duplicate removal and merging."""
-        raise NotImplementedError
+        """Location-free identity across variants."""
+        return (self.tag, type(self).key(self))
 
-    def sort_key(self) -> tuple:
-        """Canonical order: variant tag, then byte order of names and lexicals."""
-        return self.identity()
-
-    def implicit(self) -> bool:
-        """Whether the axiom only restates the implicit root, which files
-        never need to write."""
-        return False
-
-    def declaration(self) -> Optional[tuple[str, Kind]]:
-        """(name, kind) introduced by a declaration axiom, else None."""
-        return None
+    def error(self, code: str, message: str) -> Diagnostic:
+        """An error finding at the axiom's file and line."""
+        return error(code, message, self.file, self.line)
 
     def references(self) -> tuple[tuple[str, Kind], ...]:
         """Names the axiom refers to, paired with the kind each use demands."""
-        return ()
+        return tuple(
+            (name, kind) for f, kind in self.refers for name in _named(getattr(self, f))
+        )
 
     def fault(self) -> Optional[Fault]:
         """The finding when the axiom is malformed on its own."""
@@ -297,36 +347,28 @@ class Axiom:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
+@_variant
 class ClassDecl(Axiom):
     name: str
 
-    def identity(self) -> tuple:
-        return (0, self.name)
-
-    def implicit(self) -> bool:
-        return self.name == THING
-
-    def declaration(self) -> tuple[str, Kind]:
-        return (self.name, Kind.CLASS)
+    tag = 0
+    declares = Kind.CLASS
+    key = order = attrgetter("name")
+    implicit = staticmethod(lambda ax: ax.name == THING)
 
     def to_oft(self) -> str:
         return f"class {self.name}"
 
 
-@dataclass(frozen=True, slots=True)
+@_variant
 class SubClassOf(Axiom):
     child: str
     parent: str
 
-    def identity(self) -> tuple:
-        return (1, self.child, self.parent)
-
-    def implicit(self) -> bool:
-        return self.parent == THING
-
-    def references(self) -> tuple[tuple[str, Kind], ...]:
-        return ((self.child, Kind.CLASS), (self.parent, Kind.CLASS))
+    tag = 1
+    key = order = attrgetter("child", "parent")
+    refers = (("child", Kind.CLASS), ("parent", Kind.CLASS))
+    implicit = staticmethod(lambda ax: ax.parent == THING)
 
     def fault(self) -> Optional[Fault]:
         if self.child == self.parent:
@@ -340,20 +382,17 @@ class SubClassOf(Axiom):
         return f"class {self.child} sub {self.parent}"
 
 
-@dataclass(frozen=True, slots=True)
+@_variant
 class ObjPropDecl(Axiom):
     name: str
     domain: Optional[str] = None
     range: Optional[str] = None
 
-    def identity(self) -> tuple:
-        return (2, self.name, self.domain or "", self.range or "")
-
-    def declaration(self) -> tuple[str, Kind]:
-        return (self.name, Kind.OBJECT_PROPERTY)
-
-    def references(self) -> tuple[tuple[str, Kind], ...]:
-        return tuple((n, Kind.CLASS) for n in (self.domain, self.range) if n is not None)
+    tag = 2
+    declares = Kind.OBJECT_PROPERTY
+    key = attrgetter("name", "domain", "range")
+    order = staticmethod(lambda ax: (ax.name, ax.domain or "", ax.range or ""))
+    refers = (("domain", Kind.CLASS), ("range", Kind.CLASS))
 
     def contract_clash(self, first: ObjPropDecl) -> Optional[Fault]:
         if (first.domain, first.range) != (self.domain, self.range):
@@ -369,26 +408,23 @@ class ObjPropDecl(Axiom):
         return " ".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
+@_variant
 class DataPropDecl(Axiom):
     name: str
     facet: FacetSpec
     domain: Optional[str] = None
 
-    def identity(self) -> tuple:
-        return (3, self.name, self.domain or "", self.facet.key())
+    tag = 3
+    declares = Kind.DATA_PROPERTY
+    key = staticmethod(lambda ax: (ax.name, ax.domain, ax.facet.key()))
+    refers = (("domain", Kind.CLASS),)
 
-    def sort_key(self) -> tuple:
-        facet = self.facet
-        allowed = tuple((v.value_type.value, v.lexical) for v in facet.allowed or ())
-        facet_key = (facet.value_type.value, allowed, facet.cardinality.value)
-        return (3, self.name, self.domain or "", facet_key)
-
-    def declaration(self) -> tuple[str, Kind]:
-        return (self.name, Kind.DATA_PROPERTY)
-
-    def references(self) -> tuple[tuple[str, Kind], ...]:
-        return ((self.domain, Kind.CLASS),) if self.domain is not None else ()
+    @staticmethod
+    def order(ax: DataPropDecl) -> tuple:
+        facet = ax.facet
+        allowed = tuple(v._order for v in facet.allowed or ())
+        facet_order = (facet.value_type.value, allowed, facet.cardinality.value)
+        return (ax.name, ax.domain or "", facet_order)
 
     def contract_clash(self, first: DataPropDecl) -> Optional[Fault]:
         if first.facet.key() != self.facet.key():
@@ -409,19 +445,15 @@ class DataPropDecl(Axiom):
         return " ".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
+@_variant
 class IndividualDecl(Axiom):
     name: str
     types: tuple[str, ...]
 
-    def identity(self) -> tuple:
-        return (4, self.name, self.types)
-
-    def declaration(self) -> tuple[str, Kind]:
-        return (self.name, Kind.INDIVIDUAL)
-
-    def references(self) -> tuple[tuple[str, Kind], ...]:
-        return tuple((t, Kind.CLASS) for t in self.types)
+    tag = 4
+    declares = Kind.INDIVIDUAL
+    key = order = attrgetter("name", "types")
+    refers = (("types", Kind.CLASS),)
 
     def fault(self) -> Optional[Fault]:
         if not self.types:
@@ -432,41 +464,36 @@ class IndividualDecl(Axiom):
         return f"individual {self.name} type " + ", ".join(self.types)
 
 
-@dataclass(frozen=True, slots=True)
+@_variant
 class ObjAssertion(Axiom):
     subject: str
     prop: str
     object: str
 
-    def identity(self) -> tuple:
-        return (5, self.subject, self.prop, self.object)
-
-    def references(self) -> tuple[tuple[str, Kind], ...]:
-        return (
-            (self.subject, Kind.INDIVIDUAL),
-            (self.prop, Kind.OBJECT_PROPERTY),
-            (self.object, Kind.INDIVIDUAL),
-        )
+    tag = 5
+    key = order = attrgetter("subject", "prop", "object")
+    refers = (
+        ("subject", Kind.INDIVIDUAL),
+        ("prop", Kind.OBJECT_PROPERTY),
+        ("object", Kind.INDIVIDUAL),
+    )
 
     def to_oft(self) -> str:
         return f"rel {self.subject} {self.prop} {self.object}"
 
 
-@dataclass(frozen=True, slots=True)
+@_variant
 class DataAssertion(Axiom):
     subject: str
     prop: str
     value: Literal
 
-    def identity(self) -> tuple:
-        return (6, self.subject, self.prop, self.value.key())
-
-    def sort_key(self) -> tuple:
-        value = self.value
-        return (6, self.subject, self.prop, value.value_type.value, value.lexical)
-
-    def references(self) -> tuple[tuple[str, Kind], ...]:
-        return ((self.subject, Kind.INDIVIDUAL), (self.prop, Kind.DATA_PROPERTY))
+    tag = 6
+    # The literal's precomputed keys: equality by `key()`, order by value
+    # type and lexical form.
+    key = attrgetter("subject", "prop", "value._key")
+    order = attrgetter("subject", "prop", "value._order")
+    refers = (("subject", Kind.INDIVIDUAL), ("prop", Kind.DATA_PROPERTY))
 
     def to_oft(self) -> str:
         return f"attr {self.subject} {self.prop} {self.value.to_oft()}"
@@ -488,22 +515,16 @@ class Ontology:
     #: contract views below read it. Only a property's declaration carries
     #: a contract.
     declarations: dict[tuple[str, Kind], Axiom]
+    #: The axioms grouped by variant, each group in axiom order; one pass
+    #: of the build serves every view below.
+    by_variant: dict[type, tuple[Axiom, ...]] = field(repr=False)
     provenance: tuple[str, ...] = ()
 
     def _names_of(self, kind: Kind) -> frozenset[str]:
         return frozenset(n for n, k in self.symbols.items() if k is kind)
 
-    @cached_property
-    def _by_variant(self) -> dict[type, tuple[Axiom, ...]]:
-        """The axioms grouped by variant, each group in source order; one
-        pass over the axioms serves every view below."""
-        groups: dict[type, list[Axiom]] = {}
-        for ax in self.axioms:
-            groups.setdefault(type(ax), []).append(ax)
-        return {variant: tuple(group) for variant, group in groups.items()}
-
     def _all(self, variant: type) -> tuple:
-        return self._by_variant.get(variant, ())
+        return self.by_variant.get(variant, ())
 
     @cached_property
     def individual_order(self) -> tuple[str, ...]:
@@ -595,6 +616,28 @@ class Ontology:
         return {ax.name: (ax.file, ax.line) for ax in self._first(IndividualDecl)}
 
 
+def _reference_faults(
+    group: Sequence[Axiom], field_name: str, wanted: Kind, symbols: dict[str, Kind]
+) -> list[Diagnostic]:
+    """The findings of the `field_name` references of a group of axioms of
+    one variant: a name missing from `symbols` or declared as another kind
+    than `wanted`. Each distinct name is looked up once when all are sound."""
+    get = attrgetter(field_name)
+    names = set(chain.from_iterable(map(_named, set(map(get, group)))))
+    if set(map(symbols.get, names)) <= {wanted}:
+        return []
+    diags = []
+    for ax in group:
+        for name in _named(get(ax)):
+            found = symbols.get(name)
+            if found is None:
+                diags.append(ax.error(E_UNKNOWN_REF, f"{name} is not declared"))
+            elif found is not wanted:
+                message = f"{name} used as {wanted.value} but declared as {found.value}"
+                diags.append(ax.error(E_KIND_CLASH, message))
+    return diags
+
+
 def build_ontology(
     name: str,
     axioms: Sequence[Axiom],
@@ -603,9 +646,10 @@ def build_ontology(
 ) -> tuple[Optional[Ontology], list[Diagnostic]]:
     """Check an axiom list and wrap it into an Ontology.
 
-    Performs every referential and kind check in one pass and reports all
-    findings rather than stopping at the first. Returns (ontology, []) on
-    success and (None, diagnostics) otherwise.
+    Performs every referential and kind check and reports all findings
+    rather than stopping at the first. Declarations are read in axiom order,
+    so the first of a name wins; the other checks run variant by variant.
+    Returns (ontology, []) on success and (None, diagnostics) otherwise.
 
     With `base`, an ontology already built, the build extends it: it starts
     from the base's symbols and first declarations and checks only `axioms`,
@@ -620,58 +664,41 @@ def build_ontology(
     symbols: dict[str, Kind] = {THING: Kind.CLASS}
     first_decls: dict[tuple[str, Kind], Axiom] = {}
     kept: tuple[Axiom, ...] = ()
+    by_variant: dict[type, tuple[Axiom, ...]] = {}
     if base is not None:
         symbols = dict(base.symbols)
         first_decls = dict(base.declarations)
         kept = base.axioms
+        by_variant = dict(base.by_variant)
+    groups: dict[type, list[Axiom]] = {}
     for ax in axioms:
-        decl = ax.declaration()
-        if decl is None:
+        groups.setdefault(type(ax), []).append(ax)
+        kind = ax.declares
+        if kind is None:
             continue
+        decl_name = ax.name
         # Re-declaring a property must not change its contract.
-        first = first_decls.setdefault(decl, ax)
+        first = first_decls.setdefault((decl_name, kind), ax)
         if first is not ax:
             clash = ax.contract_clash(first)
             if clash is not None:
                 diags.append(clash.diagnostic(ax.file, ax.line))
-        decl_name, kind = decl
         if not is_ident(decl_name):
-            diags.append(
-                error(E_SYNTAX, f"invalid identifier {decl_name!r}", ax.file, ax.line)
-            )
+            diags.append(ax.error(E_SYNTAX, f"invalid identifier {decl_name!r}"))
             continue
-        prior = symbols.get(decl_name)
-        if prior is None:
-            symbols[decl_name] = kind
-        elif prior is not kind:
-            diags.append(
-                error(
-                    E_KIND_CLASH,
-                    f"{decl_name} already declared as {prior.value}",
-                    ax.file,
-                    ax.line,
-                )
-            )
+        prior = symbols.setdefault(decl_name, kind)
+        if prior is not kind:
+            diags.append(ax.error(E_KIND_CLASH, f"{decl_name} already declared as {prior.value}"))
 
-    for ax in axioms:
-        fault = ax.fault()
-        if fault is not None:
-            diags.append(fault.diagnostic(ax.file, ax.line))
-        for ref_name, wanted in ax.references():
-            found = symbols.get(ref_name)
-            if found is None:
-                diags.append(
-                    error(E_UNKNOWN_REF, f"{ref_name} is not declared", ax.file, ax.line)
-                )
-            elif found is not wanted:
-                diags.append(
-                    error(
-                        E_KIND_CLASH,
-                        f"{ref_name} used as {wanted.value} but declared as {found.value}",
-                        ax.file,
-                        ax.line,
-                    )
-                )
+    for variant, group in groups.items():
+        if variant.fault is not Axiom.fault:
+            for ax in group:
+                fault = ax.fault()
+                if fault is not None:
+                    diags.append(fault.diagnostic(ax.file, ax.line))
+        for field_name, wanted in variant.refers:
+            diags += _reference_faults(group, field_name, wanted, symbols)
+        by_variant[variant] = by_variant.get(variant, ()) + tuple(group)
 
     if diags:
         return None, sort_diagnostics(diags)
@@ -680,6 +707,7 @@ def build_ontology(
         axioms=kept + tuple(axioms),
         symbols=symbols,
         declarations=first_decls,
+        by_variant=by_variant,
         provenance=tuple(provenance),
     )
     return onto, []
@@ -689,10 +717,16 @@ def canonical_axioms(o: Ontology) -> list[Axiom]:
     """Deduplicated, deterministically ordered axiom list.
 
     Implicit-root bookkeeping (Thing declarations and edges into Thing) is
-    excluded; duplicates keep their first occurrence. The result is stable
+    excluded; duplicates keep their first occurrence. The variants follow
+    in tag order, each sorted by its own `order`. The result is stable
     across calls and process runs.
     """
-    # Read backwards, so each identity keeps its first occurrence. Distinct
-    # identities have distinct sort keys, so the order is total.
-    unique = {ax.identity(): ax for ax in reversed(o.axioms) if not ax.implicit()}
-    return sorted(unique.values(), key=methodcaller("sort_key"))
+    result: list[Axiom] = []
+    for variant in sorted(o.by_variant, key=attrgetter("tag")):
+        group = o.by_variant[variant]
+        if variant.implicit is not None:
+            group = tuple(ax for ax in group if not variant.implicit(ax))
+        # Read backwards, so each key keeps its first occurrence.
+        first = dict(zip(map(variant.key, reversed(group)), reversed(group)))
+        result += sorted(first.values(), key=variant.order)
+    return result

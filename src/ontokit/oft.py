@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional, TypeVar
+from typing import Callable, Iterable, Optional, TypeVar
 
 from .model import (
     Axiom,
@@ -192,13 +192,14 @@ def _names(text: str) -> list[str]:
     return [n.strip(" \t") for n in text.split(",")]
 
 
-def _lines(source: str) -> Iterator[str]:
+def _lines(source: str) -> list[str]:
     """The lines of `source` without their LF or CRLF ends."""
     lines = source.split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
-    for raw in lines:
-        yield raw[:-1] if raw.endswith("\r") else raw
+    if "\r" in source:
+        lines = [raw[:-1] if raw.endswith("\r") else raw for raw in lines]
+    return lines
 
 
 @dataclass
@@ -362,31 +363,38 @@ class _Reader:
             self.axioms.append(ClassDecl(cls, file=self.file, line=ln))
         self.axioms.extend(SubClassOf(cls, p, file=self.file, line=ln) for p in parents)
 
-    def matched_line(self, m: re.Match[str], ln: int) -> bool:
-        """Add the axioms of a line `_STATEMENT` matched; False, with nothing
-        added, when its literal is not representable."""
-        head = m.lastgroup
-        if head == "rel":
-            subject, prop, obj = m.group("rel_subject", "rel_prop", "rel_object")
-            self.axioms.append(ObjAssertion(subject, prop, obj, file=self.file, line=ln))
-        elif head == "individual":
-            ind, types = m["individual_name"], tuple(_names(m["types"]))
-            self.axioms.append(IndividualDecl(ind, types, file=self.file, line=ln))
-        elif head == "class":
-            parents = m["parents"]
-            self.class_line(m["class_name"], _names(parents) if parents else [], ln)
-        elif head is not None:  # an `attr` line: `head` is its value's kind
-            lexical = m[head]
-            if head == "string" and "\\" in lexical:
-                lexical = _ESCAPE.sub(r"\1", lexical)
-            try:
-                value = self.literal(LITERAL_KINDS[head], lexical)
-            except ValueError:  # a line break, a number out of range, not a date
-                return False
-            self.axioms.append(
-                DataAssertion(m["attr_subject"], m["attr_prop"], value, file=self.file, line=ln)
-            )
-        return True
+    def read(self, source: str) -> None:
+        """Add the axioms of every line of `source`. A line that `_STATEMENT`
+        matches builds its axioms from the match; every other line, and one
+        whose literal is not representable, goes through `token_line`, which
+        finds the same axioms or reports the fault."""
+        file, append, literal = self.file, self.axioms.append, self.literal
+        fullmatch = _STATEMENT.fullmatch
+        for ln, line in enumerate(_lines(source), 1):
+            m = fullmatch(line)
+            head = None if m is None else m.lastgroup
+            if head == "rel":
+                names = m.group("rel_subject", "rel_prop", "rel_object")
+                append(ObjAssertion(*names, file=file, line=ln))
+            elif head in LITERAL_KINDS:  # an `attr` line: `head` is its value's kind
+                lexical = m[head]
+                if head == "string" and "\\" in lexical:
+                    lexical = _ESCAPE.sub(r"\1", lexical)
+                try:
+                    value = literal(LITERAL_KINDS[head], lexical)
+                except ValueError:  # a line break, a number out of range, not a date
+                    self.token_line(line, ln)
+                    continue
+                names = m.group("attr_subject", "attr_prop")
+                append(DataAssertion(*names, value, file=file, line=ln))
+            elif head == "individual":
+                types = tuple(_names(m["types"]))
+                append(IndividualDecl(m["individual_name"], types, file=file, line=ln))
+            elif head == "class":
+                parents = m["parents"]
+                self.class_line(m["class_name"], _names(parents) if parents else [], ln)
+            elif m is None:
+                self.token_line(line, ln)
 
     def token_line(self, line: str, ln: int) -> None:
         """Parse one line through the token path: its axioms, or the
@@ -444,17 +452,9 @@ class _Reader:
 
 
 def parse_oft(source: str, file_name: str = "<input>") -> ParseResult:
-    """Parse OFT text into axioms with source locations. Never raises.
-
-    A line that `_STATEMENT` matches builds its axioms from the match. Every
-    other line, and a matched line whose literal is not representable, goes
-    through the token path, which finds the same axioms or reports the fault.
-    """
+    """Parse OFT text into axioms with source locations. Never raises."""
     reader = _Reader(file_name)
-    for ln, line in enumerate(_lines(source), 1):
-        m = _STATEMENT.fullmatch(line)
-        if m is None or not reader.matched_line(m, ln):
-            reader.token_line(line, ln)
+    reader.read(source)
     return ParseResult(reader.name, reader.axioms, reader.diagnostics)
 
 

@@ -22,7 +22,6 @@ from .model import (
     Ontology,
     Severity,
     conforms,
-    error,
     sort_diagnostics,
     warning,
 )
@@ -52,35 +51,16 @@ def validate(
     for ax in o.data_assertions:
         facet = o.facets[ax.prop]
         if not conforms(ax.value, facet.value_type):
-            diags.append(
-                error(
-                    E_TYPE_MISMATCH,
-                    f"value {ax.value.lexical!r} of {ax.prop} is not a "
-                    f"{facet.value_type.value}",
-                    ax.file,
-                    ax.line,
-                )
-            )
+            message = f"value {ax.value.lexical!r} of {ax.prop} is not a {facet.value_type.value}"
+            diags.append(ax.error(E_TYPE_MISMATCH, message))
         elif not facet.permits(ax.value):
-            diags.append(
-                error(
-                    E_ALLOWED_VALUE,
-                    f"value {ax.value.lexical!r} of {ax.prop} is outside the allowed set",
-                    ax.file,
-                    ax.line,
-                )
-            )
+            message = f"value {ax.value.lexical!r} of {ax.prop} is outside the allowed set"
+            diags.append(ax.error(E_ALLOWED_VALUE, message))
         key = (ax.prop, ax.subject)
         count = counts[key] = counts.get(key, 0) + 1
         if count > 1 and facet.cardinality is Cardinality.SINGLE:
-            diags.append(
-                error(
-                    E_CARD_SINGLE,
-                    f"{ax.subject} has more than one value for single-cardinality {ax.prop}",
-                    ax.file,
-                    ax.line,
-                )
-            )
+            message = f"{ax.subject} has more than one value for single-cardinality {ax.prop}"
+            diags.append(ax.error(E_CARD_SINGLE, message))
 
     # Multiple cardinality reads as "at least one value"; absence is only a
     # warning so half-authored individuals do not hard-fail.
@@ -90,38 +70,19 @@ def validate(
             continue
         for ind in members[domain]:
             if (prop, ind) not in counts:
+                message = f"{ind} has no value for multiple-cardinality {prop}"
                 loc = o.individual_locations.get(ind, ("", 0))
-                diags.append(
-                    warning(
-                        E_CARD_MULTIPLE,
-                        f"{ind} has no value for multiple-cardinality {prop}",
-                        loc[0],
-                        loc[1],
-                    )
-                )
+                diags.append(warning(E_CARD_MULTIPLE, message, *loc))
 
     for ax in o.data_assertions + o.obj_assertions:
         domain = o.domains.get(ax.prop)
         if domain is not None and ax.subject not in members[domain]:
-            diags.append(
-                error(
-                    E_DOMAIN,
-                    f"{ax.subject} is outside the domain {domain} of {ax.prop}",
-                    ax.file,
-                    ax.line,
-                )
-            )
+            message = f"{ax.subject} is outside the domain {domain} of {ax.prop}"
+            diags.append(ax.error(E_DOMAIN, message))
     for ax in o.obj_assertions:
         rng = o.ranges.get(ax.prop)
         if rng is not None and ax.object not in members[rng]:
-            diags.append(
-                error(
-                    E_RANGE,
-                    f"{ax.object} is outside the range {rng} of {ax.prop}",
-                    ax.file,
-                    ax.line,
-                )
-            )
+            diags.append(ax.error(E_RANGE, f"{ax.object} is outside the range {rng} of {ax.prop}"))
 
     checked = len(o.data_assertions) + len(o.obj_assertions)
     return ValidationReport(tuple(sort_diagnostics(diags)), checked)

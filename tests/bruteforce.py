@@ -8,6 +8,7 @@ reuse the code paths they are checking.
 from __future__ import annotations
 
 import random
+from decimal import Decimal
 
 from ontokit.dlquery import And, ClassExpr, Named, Some, ValueData, ValueObj, make_and
 from ontokit.model import (
@@ -128,6 +129,63 @@ def oracle_cycles(onto: Ontology) -> list[tuple[str, str, int]]:
         )
         found.append(("classes form a subclass cycle: " + ", ".join(sorted(cycle)), *anchor))
     return sorted(found)
+
+
+def _literal_identity(value: Literal) -> tuple:
+    """Numbers are equal by decimal value, every other literal by its text."""
+    if value.value_type is ValueType.NUMBER:
+        return (value.value_type.value, Decimal(value.lexical))
+    return (value.value_type.value, value.lexical)
+
+
+def _canonical_keys(ax: Axiom) -> tuple[int, tuple, tuple]:
+    """(variant tag, identity, sort key) of an axiom, spelled out per variant.
+    An absent domain or range is the empty name."""
+    if isinstance(ax, ClassDecl):
+        return 0, (ax.name,), (ax.name,)
+    if isinstance(ax, SubClassOf):
+        return 1, (ax.child, ax.parent), (ax.child, ax.parent)
+    if isinstance(ax, ObjPropDecl):
+        names = (ax.name, ax.domain or "", ax.range or "")
+        return 2, names, names
+    if isinstance(ax, DataPropDecl):
+        facet = ax.facet
+        values = facet.allowed
+        allowed = None if values is None else frozenset(map(_literal_identity, values))
+        written = tuple((v.value_type.value, v.lexical) for v in values or ())
+        vt, card = facet.value_type.value, facet.cardinality.value
+        names = (ax.name, ax.domain or "")
+        return 3, (*names, (vt, allowed, card)), (*names, (vt, written, card))
+    if isinstance(ax, IndividualDecl):
+        return 4, (ax.name, ax.types), (ax.name, ax.types)
+    if isinstance(ax, ObjAssertion):
+        return 5, (ax.subject, ax.prop, ax.object), (ax.subject, ax.prop, ax.object)
+    assert isinstance(ax, DataAssertion)
+    value = ax.value
+    return (
+        6,
+        (ax.subject, ax.prop, _literal_identity(value)),
+        (ax.subject, ax.prop, value.value_type.value, value.lexical),
+    )
+
+
+def oracle_canonical(onto: Ontology) -> list[Axiom]:
+    """The canonical axiom list by direct definition: the first occurrence
+    of each identity, without the implicit root's declaration and the edges
+    into it, sorted by (variant tag, names, value type, lexical form)."""
+    seen: set[tuple] = set()
+    kept = []
+    for ax in onto.axioms:
+        if (isinstance(ax, ClassDecl) and ax.name == THING) or (
+            isinstance(ax, SubClassOf) and ax.parent == THING
+        ):
+            continue
+        tag, identity, order = _canonical_keys(ax)
+        if (tag, identity) not in seen:
+            seen.add((tag, identity))
+            kept.append(((tag, order), ax))
+    kept.sort(key=lambda pair: pair[0])
+    return [ax for _, ax in kept]
 
 
 def oracle_validate(onto: Ontology) -> list[tuple[str, str, int]]:

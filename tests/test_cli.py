@@ -175,6 +175,21 @@ class TestQuery:
                 "<query>:1: error E_SYNTAX expected a class name or '(' (column 6)\n"
             )
 
+    @pytest.mark.parametrize(
+        "mode", ["subclasses", "direct-subclasses", "superclasses", "direct-superclasses"]
+    )
+    def test_taxonomy_modes_do_not_realize(self, corpus_files, monkeypatch, capsys, mode):
+        argv = ["query", *corpus_files, "-q", "Developing_stages", "-m", mode]
+        assert run(argv) == 0
+        expected = capsys.readouterr()
+
+        def refuse(*args):
+            raise AssertionError("a taxonomy query realized the ontology")
+
+        monkeypatch.setattr(ontokit.cli, "realize", refuse)
+        assert run(argv) == 0
+        assert capsys.readouterr() == expected
+
     def test_deep_nesting_is_a_diagnostic(self, corpus_files, capsys):
         for query in ["(" * 5000 + "Dates" + ")" * 5000, "has_benefits some " * 3000 + "Health"]:
             assert run(["query", *corpus_files, "-q", query]) == 1
@@ -344,6 +359,17 @@ class TestIngest:
             f"{csv_path}:1: error E_CSV_HEADER duplicate column 'id' in header\n"
         )
         assert not out.exists()
+
+    def test_cyclic_ontology_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "cyc.oft", "class A sub B\nclass B sub A\ndataprop y domain A type number\n")
+        write(tmp_path / "r.csv", "id,y\nq,1\n")
+        argv = ["ingest", "cyc.oft", "--csv", "r.csv", "--class", "A", "--map", "y=y"]
+        assert run([*argv, "-o", "out.oft"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "cyc.oft:1: error E_CYCLE classes form a subclass cycle: A, B\n"
+        assert not (tmp_path / "out.oft").exists()
 
     def test_row_longer_than_header(self, corpus_files, tmp_path, capsys):
         csv_path = write(tmp_path / "r.csv", "id,year\nKhalas,1800,x\n")

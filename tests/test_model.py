@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -29,6 +30,7 @@ from ontokit.model import (
     build_ontology,
     canonical_axioms,
 )
+from ontokit.oft import serialize_oft
 
 
 def build_ok(axioms, name="t"):
@@ -63,6 +65,56 @@ class TestLiteral:
         Literal(ValueType.DATETIME, "2020-02-29")
         Literal(ValueType.DATETIME, "2020-01-01T10:20:30")
         Literal(ValueType.DATETIME, "2020-01-01T10:20:30Z")
+
+
+_IMMUTABLE = [
+    ClassDecl("A", file="a.oft", line=1),
+    SubClassOf("A", "B", line=2),
+    ObjPropDecl("p", "A", None),
+    DataPropDecl("d", FacetSpec(ValueType.NUMBER, (Literal(ValueType.NUMBER, "1"),)), "A"),
+    IndividualDecl("i", ("A", "B")),
+    ObjAssertion("i", "p", "j"),
+    DataAssertion("i", "d", Literal(ValueType.STRING, 'say "hi"')),
+    Literal(ValueType.STRING, 'say "hi"'),
+    Literal(ValueType.NUMBER, "1.0"),
+]
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("value", _IMMUTABLE, ids=lambda v: type(v).__name__)
+    def test_fields_cannot_be_assigned_or_deleted(self, value):
+        for f in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, f.name)
+
+    @pytest.mark.parametrize("ax", _IMMUTABLE[:7], ids=lambda v: type(v).__name__)
+    def test_replace_moves_an_axiom(self, ax):
+        moved = replace(ax, line=99)
+        assert type(moved) is type(ax) and moved.line == 99
+        assert moved != ax
+        assert replace(moved, line=ax.line) == ax
+        assert hash(replace(moved, line=ax.line)) == hash(ax)
+        assert moved.identity() == ax.identity()
+
+    def test_equal_field_values_in_two_variants_differ(self):
+        assert ClassDecl("A") != ObjPropDecl("A")
+        assert ObjPropDecl("A") != ClassDecl("A")
+        assert ClassDecl("A").identity() != ObjPropDecl("A").identity()
+        assert ClassDecl("A") == ClassDecl("A")
+        assert ClassDecl("A", line=1) != ClassDecl("A", line=2)
+
+    def test_constructor_signature_and_repr(self):
+        assert str(inspect.signature(ObjPropDecl.__init__)) == (
+            "(self, name: 'str', domain: 'Optional[str]' = None, range: 'Optional[str]' = None,"
+            " *, file: 'str' = '', line: 'int' = 0) -> None"
+        )
+        assert repr(ObjAssertion("i", "p", "j", file="f.oft", line=3)) == (
+            "ObjAssertion(file='f.oft', line=3, subject='i', prop='p', object='j')"
+        )
+        with pytest.raises(TypeError):
+            ObjAssertion("i", "p", "j", "f.oft")
 
 
 class TestFacetSpec:
@@ -387,6 +439,37 @@ class TestCanonicalAxioms:
             if isinstance(ax, DataAssertion)
         ]
         assert values == ["1.0"]
+
+    def test_matches_the_oracle(self):
+        """On random ontologies with repeated axioms, `1` beside `1.0` and
+        strings holding a tab, a control character, a quote or a backslash,
+        the canonical list keeps each identity's first line and sorts by the
+        oracle's keys, and the file writes it in that order."""
+        odd = ["a\tb", "\x01", "\t", 'q"', "\\", 'x"y', "back\\slash", "a b", ""]
+        rng = random.Random(11)
+        for _ in range(300):
+            onto = bruteforce.random_ontology(rng, n_assertions=rng.randint(0, 30))
+            axioms = list(onto.axioms)
+            individuals, props = sorted(onto.individuals), sorted(onto.data_properties)
+            for _ in range(rng.randint(0, 6)):
+                subject, prop = rng.choice(individuals), rng.choice(props)
+                value = Literal(ValueType.STRING, rng.choice(odd))
+                axioms.append(DataAssertion(subject, prop, value))
+                if rng.random() < 0.5:
+                    axioms += [
+                        DataAssertion(subject, prop, Literal(ValueType.NUMBER, lexical))
+                        for lexical in rng.sample(["1", "1.0", "1e0"], 2)
+                    ]
+            if rng.random() < 0.3:
+                axioms += [ClassDecl(THING), SubClassOf(rng.choice(sorted(onto.classes)), THING)]
+            axioms += rng.sample(axioms, rng.randint(0, 8))
+            rng.shuffle(axioms)
+            onto = build_ok([replace(ax, line=n) for n, ax in enumerate(axioms, 1)])
+            expected = bruteforce.oracle_canonical(onto)
+            assert canonical_axioms(onto) == expected
+            assert serialize_oft(onto) == "".join(
+                f"{line}\n" for line in ["ontology t", *(ax.to_oft() for ax in expected)]
+            )
 
     def test_random_ontologies_sorted_and_stable(self):
         rng = random.Random(7)
