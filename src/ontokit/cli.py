@@ -9,6 +9,7 @@ stdout so pipelines can consume query and DOT output cleanly. Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -204,10 +205,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line in this process and return its exit code.
+
+    The cyclic collector is paused while the command runs. The pause is
+    process-wide: do not call `run` while other threads of the process
+    allocate cycles that they count on the collector to free."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # A command's objects live until it returns, and reference counting
+    # frees what it drops, so a cyclic collection would find nothing and
+    # only re-scan the ontology as it grows.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except _Failed as exc:
@@ -216,6 +227,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main() -> None:

@@ -162,14 +162,14 @@ class Literal:
     Numbers carry their exact decimal lexical form and compare numerically
     ("1.0" equals "1"); every other type compares by exact lexical match.
     Computed once, at construction: the comparison key, the canonical
-    order (value type keyword, lexical form) and the written form (None for
-    the types that have none).
+    order `"<value type> <lexical>"` and the written form (None for the
+    types that have none).
     """
 
     value_type: ValueType
     lexical: str
     _key: tuple = field(init=False, repr=False)
-    _order: tuple[str, str] = field(init=False, repr=False)
+    _order: str = field(init=False, repr=False)
     _text: Optional[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -193,7 +193,7 @@ class Literal:
         if "\n" in lex or "\r" in lex:
             raise ValueError("literal may not contain line breaks")
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_order", (vt.value, lex))
+        object.__setattr__(self, "_order", f"{vt.value} {lex}")
         object.__setattr__(self, "_text", text)
 
     def key(self) -> tuple:
@@ -306,7 +306,15 @@ class Axiom:
     #: Location-free identity within the variant: duplicates and merging.
     key: ClassVar[Callable[[Any], Hashable]]
     #: Canonical order within the variant: byte order of names and
-    #: lexicals. Distinct keys have distinct orders.
+    #: lexicals. Distinct keys have distinct orders. For the variants of
+    #: names and literals it is one string, the fields joined by a blank
+    #: (a list's names by ", ", a literal as its `_order`): unlike a tuple,
+    #: a string is not tracked by the cyclic collector and compares in one
+    #: C call. Its byte order is the fields' tuple order, since names hold
+    #: neither a blank nor a comma and both sort below every identifier
+    #: character, no value-type keyword is a prefix of another, and the
+    #: lexical form, which may hold any character, is compared only after
+    #: an equal prefix.
     order: ClassVar[Callable[[Any], Any]]
     #: Whether an axiom only restates the implicit root, which files never
     #: need to write; None when no axiom of the variant does.
@@ -366,7 +374,8 @@ class SubClassOf(Axiom):
     parent: str
 
     tag = 1
-    key = order = attrgetter("child", "parent")
+    key = attrgetter("child", "parent")
+    order = staticmethod(lambda ax: f"{ax.child} {ax.parent}")
     refers = (("child", Kind.CLASS), ("parent", Kind.CLASS))
     implicit = staticmethod(lambda ax: ax.parent == THING)
 
@@ -452,7 +461,8 @@ class IndividualDecl(Axiom):
 
     tag = 4
     declares = Kind.INDIVIDUAL
-    key = order = attrgetter("name", "types")
+    key = attrgetter("name", "types")
+    order = staticmethod(lambda ax: f"{ax.name} {', '.join(ax.types)}")
     refers = (("types", Kind.CLASS),)
 
     def fault(self) -> Optional[Fault]:
@@ -471,7 +481,8 @@ class ObjAssertion(Axiom):
     object: str
 
     tag = 5
-    key = order = attrgetter("subject", "prop", "object")
+    key = attrgetter("subject", "prop", "object")
+    order = staticmethod(lambda ax: f"{ax.subject} {ax.prop} {ax.object}")
     refers = (
         ("subject", Kind.INDIVIDUAL),
         ("prop", Kind.OBJECT_PROPERTY),
@@ -492,11 +503,42 @@ class DataAssertion(Axiom):
     # The literal's precomputed keys: equality by `key()`, order by value
     # type and lexical form.
     key = attrgetter("subject", "prop", "value._key")
-    order = attrgetter("subject", "prop", "value._order")
+    order = staticmethod(lambda ax: f"{ax.subject} {ax.prop} {ax.value._order}")
     refers = (("subject", Kind.INDIVIDUAL), ("prop", Kind.DATA_PROPERTY))
 
     def to_oft(self) -> str:
         return f"attr {self.subject} {self.prop} {self.value.to_oft()}"
+
+
+class _AssertionIndex(dict):
+    """`Ontology.assertion_index`: a missing declared property's entry is
+    built from one pass over the assertions of its kind, so a query pays
+    only for the properties it names; a hit is a plain dict lookup. It
+    keeps what it reads of the ontology, not the ontology, which caches it:
+    that would make a cycle that only the cyclic collector frees."""
+
+    def __init__(self, onto: Ontology):
+        super().__init__()
+        self.symbols = onto.symbols
+        self.sources = {
+            Kind.OBJECT_PROPERTY: (onto.obj_assertions, attrgetter("object")),
+            Kind.DATA_PROPERTY: (onto.data_assertions, attrgetter("value")),
+        }
+        # Positions, not masks: a mask per individual would hold n²/2 bits.
+        self.position = dict(zip(onto.individual_order, range(len(onto.individual_order))))
+
+    def __missing__(self, prop: str) -> dict:
+        source = self.sources.get(self.symbols.get(prop))
+        if source is None:
+            raise KeyError(prop)
+        assertions, target = source
+        position = self.position
+        targets = self[prop] = {}
+        for ax in assertions:
+            if ax.prop == prop:
+                obj = target(ax)
+                targets[obj] = targets.get(obj, 0) | 1 << position[ax.subject]
+        return targets
 
 
 @dataclass(frozen=True, eq=False)
@@ -538,18 +580,9 @@ class Ontology:
         """For each declared property, each asserted object (an individual,
         or a literal) to the mask of its subjects over `individual_order`.
         Literals equal by `key()` share one entry. Only instance queries
-        read it, so it is built on their first read."""
-        bit = {name: 1 << i for i, name in enumerate(self.individual_order)}
-        index: dict[str, dict] = {
-            p: {} for p in self.object_properties | self.data_properties
-        }
-        for ax in self._all(ObjAssertion):
-            targets = index[ax.prop]
-            targets[ax.object] = targets.get(ax.object, 0) | bit[ax.subject]
-        for ax in self._all(DataAssertion):
-            targets = index[ax.prop]
-            targets[ax.value] = targets.get(ax.value, 0) | bit[ax.subject]
-        return index
+        read it, and each property's entry is built on its first read; an
+        undeclared property is a `KeyError`."""
+        return _AssertionIndex(self)
 
     @cached_property
     def classes(self) -> frozenset[str]:

@@ -62,7 +62,7 @@ _SPECIAL_KINDS = frozenset({"end", "word", "quoted", "closed"})
 _INVALID_ESCAPE = re.compile(r'(?:[^\\]|\\["\\])*\\([^"\\])', re.S)
 _ESCAPE = re.compile(r"\\(.)", re.S)
 
-# The lexical syntax that the token patterns and the OFT statement pattern
+# The lexical syntax that the token patterns and the OFT head patterns
 # share. `stop` is a language's punctuation and comment characters, escaped.
 
 
@@ -149,16 +149,17 @@ _OFT_COMMENT = "#"
 _OFT_TOKENS = token_pattern(_OFT_PUNCTUATION, comment=_OFT_COMMENT)
 
 
-def _statement_pattern() -> re.Pattern[str]:
-    """Compile the pattern of a whole OFT line that is blank, a comment, or
-    a well-formed `rel`, `attr`, `individual` or `class` statement.
+def _head_patterns() -> dict[str, Callable[[str], Optional[re.Match[str]]]]:
+    """Compile the patterns of a whole well-formed `rel`, `attr`,
+    `individual` or `class` line, one per statement head; each pattern's
+    `fullmatch`, keyed by the first character of its head.
 
-    Words, literals and separators are those of `_OFT_TOKENS`. A string may
-    hold only the escapes `\\"` and `\\\\`; a value word that is neither a
-    boolean nor a number is taken as a date-time, which `Literal` checks.
-    The line's `Match.lastgroup` names what it holds: `rel`, `individual`,
-    `class`, None for a blank line or a comment, and for an `attr` line,
-    which has no group of its own, the literal kind of its value.
+    Words, literals and separators are those of `_OFT_TOKENS`; blanks and
+    tabs may start the line, and a blank or a `#` comment may end it. A
+    string may hold only the escapes `\\"` and `\\\\`; a value word that is
+    neither a boolean nor a number is taken as a date-time, which `Literal`
+    checks. A match's `Match.lastgroup` names the head, or for an `attr`
+    line, which has no group of its own, the literal kind of its value.
     """
     stop = re.escape("".join(_OFT_PUNCTUATION) + _OFT_COMMENT)
     end = _word_end(stop)
@@ -172,23 +173,25 @@ def _statement_pattern() -> re.Pattern[str]:
         rf"(?P<number>{NUMBER}){end}",
         _word("datetime", stop),
     ])
-    statement = "|".join([
-        rf"(?P<rel>rel[ \t]+(?P<rel_subject>{name})[ \t]+(?P<rel_prop>{name})"
-        rf"[ \t]+(?P<rel_object>{name}))",
-        rf"attr[ \t]+(?P<attr_subject>{name})[ \t]+(?P<attr_prop>{name})[ \t]+(?:{value})",
-        rf"(?P<individual>individual[ \t]+(?P<individual_name>{name})[ \t]+type"
-        rf"[ \t]+(?P<types>{names}))",
-        rf"(?P<class>class[ \t]+(?P<class_name>{name})(?:[ \t]+sub[ \t]+(?P<parents>{names}))?)",
-    ])
-    comment = re.escape(_OFT_COMMENT)
-    return re.compile(rf"[ \t]*(?:{statement})?[ \t]*(?:{comment}.*)?", re.S)
+    # Both assertions name a subject and a property before their object.
+    subject_prop = rf"[ \t]+(?P<subject>{name})[ \t]+(?P<prop>{name})[ \t]+"
+    heads = {
+        "r": rf"(?P<rel>rel{subject_prop}(?P<object>{name}))",
+        "a": rf"attr{subject_prop}(?:{value})",
+        "i": rf"(?P<individual>individual[ \t]+(?P<name>{name})[ \t]+type[ \t]+(?P<types>{names}))",
+        "c": rf"(?P<class>class[ \t]+(?P<name>{name})(?:[ \t]+sub[ \t]+(?P<parents>{names}))?)",
+    }
+    tail = rf"[ \t]*(?:{re.escape(_OFT_COMMENT)}.*)?"
+    return {
+        first: re.compile(rf"[ \t]*{head}{tail}", re.S).fullmatch for first, head in heads.items()
+    }
 
 
-_STATEMENT = _statement_pattern()
+_HEADS = _head_patterns()
 
 
 def _names(text: str) -> list[str]:
-    """The identifiers of a comma-separated list the statement pattern matched."""
+    """The identifiers of a comma-separated list a head pattern matched."""
     return [n.strip(" \t") for n in text.split(",")]
 
 
@@ -364,18 +367,27 @@ class _Reader:
         self.axioms.extend(SubClassOf(cls, p, file=self.file, line=ln) for p in parents)
 
     def read(self, source: str) -> None:
-        """Add the axioms of every line of `source`. A line that `_STATEMENT`
-        matches builds its axioms from the match; every other line, and one
-        whose literal is not representable, goes through `token_line`, which
-        finds the same axioms or reports the fault."""
-        file, append, literal = self.file, self.axioms.append, self.literal
-        fullmatch = _STATEMENT.fullmatch
+        """Add the axioms of every line of `source`. A blank or comment line
+        holds none. Otherwise the line's first character after its leading
+        blanks and tabs picks the one head pattern it may match, and a match
+        builds the line's axioms from its groups; every other line (any
+        other statement, a malformed one) and one whose literal is not
+        representable goes through `token_line`, which finds the same
+        axioms or reports the fault."""
+        file, append, literal, heads = self.file, self.axioms.append, self.literal, _HEADS
+        empty = ("", _OFT_COMMENT)  # the start of a blank or comment line
         for ln, line in enumerate(_lines(source), 1):
-            m = fullmatch(line)
-            head = None if m is None else m.lastgroup
+            first = line.lstrip(" \t")[:1]
+            if first in empty:
+                continue
+            fullmatch = heads.get(first)
+            m = None if fullmatch is None else fullmatch(line)
+            if m is None:
+                self.token_line(line, ln)
+                continue
+            head = m.lastgroup
             if head == "rel":
-                names = m.group("rel_subject", "rel_prop", "rel_object")
-                append(ObjAssertion(*names, file=file, line=ln))
+                append(ObjAssertion(*m.group("subject", "prop", "object"), file=file, line=ln))
             elif head in LITERAL_KINDS:  # an `attr` line: `head` is its value's kind
                 lexical = m[head]
                 if head == "string" and "\\" in lexical:
@@ -385,22 +397,19 @@ class _Reader:
                 except ValueError:  # a line break, a number out of range, not a date
                     self.token_line(line, ln)
                     continue
-                names = m.group("attr_subject", "attr_prop")
-                append(DataAssertion(*names, value, file=file, line=ln))
+                append(DataAssertion(*m.group("subject", "prop"), value, file=file, line=ln))
             elif head == "individual":
                 types = tuple(_names(m["types"]))
-                append(IndividualDecl(m["individual_name"], types, file=file, line=ln))
-            elif head == "class":
+                append(IndividualDecl(m["name"], types, file=file, line=ln))
+            else:  # "class"
                 parents = m["parents"]
-                self.class_line(m["class_name"], _names(parents) if parents else [], ln)
-            elif m is None:
-                self.token_line(line, ln)
+                self.class_line(m["name"], _names(parents) if parents else [], ln)
 
     def token_line(self, line: str, ln: int) -> None:
         """Parse one line through the token path: its axioms, or the
         diagnostic of its first fault. It reads every kind of statement with
         a `TokenCursor` and is the only code that reports faults, each a
-        `SyntaxFault`; the statement pattern is a shortcut past it for
+        `SyntaxFault`; the head patterns are a shortcut past it for
         well-formed lines."""
         try:
             cur = TokenCursor(line, _OFT_TOKENS, SyntaxFault)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import os
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 import ontokit
+from ontokit import cli
 from ontokit.cli import run
 from ontokit.dlquery import MAX_NESTING
 from ontokit.corpus import corpus_paths
@@ -460,6 +462,101 @@ class TestUsageErrors:
         assert run([*argv, "--map", "year=has_date_of_origin", "-o", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+def _bulk_inputs(tmp_path, n):
+    """An ontology of `n` individuals with validator findings, the same with
+    `2 * n` malformed lines added, a clashing merge partner and an `n`-row
+    CSV file; their paths."""
+    leaves = [f"class L{k} sub R{k % 5}" for k in range(20)]
+    head = [f"class R{k}" for k in range(5)] + leaves + [
+        "objprop knows domain R0 range R1",
+        "dataprop num domain R0 type number card single",
+        "dataprop tag type string card multiple",
+    ]
+    body = []
+    for k in range(n):
+        body += [f"individual i{k} type L{k % 20}", f"rel i{k} knows i{(k * 7) % n}"]
+        body += [f'attr i{k} num "x{k}"' if k % 3 else f"attr i{k} num {k}"]
+        body += [f'attr i{k} tag "t{k % 11}"']
+    malformed = [f"rel i{k} knows" if k % 2 else f"attr i{k} num 1 2" for k in range(2 * n)]
+    clash = ["class R0", "dataprop num type string", "individual j0 type R0", 'attr j0 num "y"']
+    rows = "".join(f"new{k},{k}\n" for k in range(n))
+    return (
+        write(tmp_path / "a.oft", "\n".join(head + body) + "\n"),
+        write(tmp_path / "bad.oft", "\n".join(head + body + malformed) + "\n"),
+        write(tmp_path / "b.oft", "\n".join(clash) + "\n"),
+        write(tmp_path / "rows.csv", "id,n\n" + rows),
+    )
+
+
+class TestCollectorPause:
+    """`run` pauses the cyclic collector while a command runs and leaves it
+    as it found it."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_state_restored_on_every_exit(
+        self, collecting, corpus_files, tmp_path, capsys, monkeypatch
+    ):
+        bad = write(tmp_path / "bad.oft", "clazz A\n")
+        for argv, code in [
+            (["check", *corpus_files], 0),
+            (["stats", bad], 1),  # raised as `_Failed`
+            (["check", str(tmp_path / "missing.oft")], 2),
+            (["frobnicate"], 2),
+        ]:
+            assert run(argv) == code
+            assert gc.isenabled() is collecting
+        during = []
+
+        def broken(args):
+            during.append(gc.isenabled())
+            raise RuntimeError("broken command")
+
+        monkeypatch.setattr(cli, "_cmd_check", broken)
+        with pytest.raises(RuntimeError, match="broken command"):
+            run(["check", *corpus_files])
+        assert during == [False]
+        assert gc.isenabled() is collecting
+        capsys.readouterr()
+
+    def test_no_command_leaves_cycles_that_grow_with_its_input(self, tmp_path, capsys):
+        """What a collection after a command finds unreachable does not grow
+        with the input, findings and malformed lines included: reference
+        counting frees what the command drops, which is what the pause
+        relies on."""
+        def commands(n):
+            folder = tmp_path / str(n)
+            folder.mkdir()
+            a, bad, b, rows = _bulk_inputs(folder, n)
+            out = str(folder / "out.oft")
+            ingest = ["ingest", a, "--csv", rows, "--class", "R0", "--map", "n=num"]
+            return [
+                (["check", a], 1),
+                (["check", bad], 1),
+                (["merge", a, b, "-o", out], 1),
+                ([*ingest, "-o", out], 0),
+                (["query", a, "-q", "knows some R1"], 0),
+            ]
+
+        def unreachable(command):
+            argv, code = command
+            gc.collect()
+            assert run(argv) == code, argv
+            return gc.collect()
+
+        small, large = commands(100), commands(1000)
+        for argv in small:  # the first run of each command fills caches
+            unreachable(argv)
+        for few, many in zip(small, large):
+            assert unreachable(many) <= unreachable(few), many[0][0]
+        capsys.readouterr()
 
 
 def test_output_independent_of_hash_seed(corpus_files):

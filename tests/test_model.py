@@ -384,6 +384,50 @@ class TestBuildOntology:
             assert THING in seen
 
 
+def _prefix_named_axioms(rng, strings):
+    """Random axioms whose names of each kind are prefixes of one another
+    (`a`, `a_`, `a0`, `ab`, `aB`), with individuals of one to three types,
+    some declared twice, and values of every literal type."""
+    def named(stem):
+        return [stem + tail for tail in ["", "_", "0", "b", "B"]]
+
+    classes, individuals, obj_props, data_props = map(named, "aipd")
+    axioms = [ClassDecl(c) for c in classes]
+    for i, child in enumerate(classes[1:], 1):  # edges only to earlier classes: no cycle
+        parents = rng.sample(classes[:i], rng.randint(0, min(i, 2)))
+        axioms += [SubClassOf(child, parent) for parent in parents]
+    axioms += [ObjPropDecl(p) for p in obj_props]
+    axioms += [DataPropDecl(d, FacetSpec(ValueType.ANY)) for d in data_props]
+    for ind in individuals:
+        for _ in range(rng.randint(1, 2)):
+            axioms.append(IndividualDecl(ind, tuple(rng.sample(classes, rng.randint(1, 3)))))
+    values = [(ValueType.STRING, s) for s in strings + ["a", "a_", "ab"]] + [
+        (ValueType.NUMBER, n) for n in ["1", "1.0", "10", "-1", "2e1"]
+    ] + [(ValueType.BOOLEAN, "true"), (ValueType.BOOLEAN, "false")] + [
+        (ValueType.DATETIME, d) for d in ["2020-01-01", "2020-01-01T00:00:00Z"]
+    ]
+    for _ in range(rng.randint(0, 30)):
+        if rng.random() < 0.5:
+            axioms.append(ObjAssertion(*map(rng.choice, (individuals, obj_props, individuals))))
+        else:
+            value = Literal(*rng.choice(values))
+            axioms.append(DataAssertion(rng.choice(individuals), rng.choice(data_props), value))
+    return axioms
+
+
+def _assert_canonical_as_the_oracle(rng, axioms):
+    """Add repeats of some of `axioms`, shuffle them, number their lines,
+    and compare the canonical list and the written file with the oracle's."""
+    axioms = axioms + rng.sample(axioms, rng.randint(0, 8))
+    rng.shuffle(axioms)
+    onto = build_ok([replace(ax, line=n) for n, ax in enumerate(axioms, 1)])
+    expected = bruteforce.oracle_canonical(onto)
+    assert canonical_axioms(onto) == expected
+    assert serialize_oft(onto) == "".join(
+        f"{line}\n" for line in ["ontology t", *(ax.to_oft() for ax in expected)]
+    )
+
+
 class TestCanonicalAxioms:
     def test_duplicates_removed(self):
         onto = build_ok(
@@ -443,7 +487,9 @@ class TestCanonicalAxioms:
     def test_matches_the_oracle(self):
         """On random ontologies with repeated axioms, `1` beside `1.0` and
         strings holding a tab, a control character, a quote or a backslash,
-        the canonical list keeps each identity's first line and sorts by the
+        and on ontologies whose names of each kind are prefixes of one
+        another and whose individuals have one to three types, the
+        canonical list keeps each identity's first line and sorts by the
         oracle's keys, and the file writes it in that order."""
         odd = ["a\tb", "\x01", "\t", 'q"', "\\", 'x"y', "back\\slash", "a b", ""]
         rng = random.Random(11)
@@ -462,14 +508,9 @@ class TestCanonicalAxioms:
                     ]
             if rng.random() < 0.3:
                 axioms += [ClassDecl(THING), SubClassOf(rng.choice(sorted(onto.classes)), THING)]
-            axioms += rng.sample(axioms, rng.randint(0, 8))
-            rng.shuffle(axioms)
-            onto = build_ok([replace(ax, line=n) for n, ax in enumerate(axioms, 1)])
-            expected = bruteforce.oracle_canonical(onto)
-            assert canonical_axioms(onto) == expected
-            assert serialize_oft(onto) == "".join(
-                f"{line}\n" for line in ["ontology t", *(ax.to_oft() for ax in expected)]
-            )
+            _assert_canonical_as_the_oracle(rng, axioms)
+        for _ in range(300):
+            _assert_canonical_as_the_oracle(rng, _prefix_named_axioms(rng, odd))
 
     def test_random_ontologies_sorted_and_stable(self):
         rng = random.Random(7)

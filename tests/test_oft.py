@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
+from ontokit.corpus import corpus_paths
 from ontokit.model import (
     Cardinality,
     ClassDecl,
@@ -432,3 +434,32 @@ def test_statement_pattern_matches_token_path(source):
     assert result.ontology_name == name
     assert [repr(ax) for ax in result.axioms] == [repr(ax) for ax in axioms]
     assert result.diagnostics == diagnostics
+
+
+def _token_path_lines(source, monkeypatch):
+    """The lines that `parse_oft` sends to the token path, and its result."""
+    seen = []
+    token_line = _Reader.token_line
+
+    def record(self, line, ln):
+        seen.append(line)
+        token_line(self, line, ln)
+
+    monkeypatch.setattr(_Reader, "token_line", record)
+    return seen, parse_oft(source, "f.oft")
+
+
+@pytest.mark.parametrize("indent", ["", "  ", "\t", " \t "])
+def test_only_other_statements_reach_the_token_path(indent, monkeypatch):
+    """On the packaged corpus, indented or not, blank and comment lines and
+    every well-formed `rel`, `attr`, `individual` and `class` line skip the
+    scanner; only `ontology`, `objprop` and `dataprop` lines reach it."""
+    for path in corpus_paths():
+        source = "".join(indent + line for line in path.read_text().splitlines(True))
+        seen, result = _token_path_lines(source, monkeypatch)
+        assert result.diagnostics == []
+        assert {line.split()[0] for line in seen} <= {"ontology", "objprop", "dataprop"}
+        assert len(seen) == sum(1 for line in source.splitlines() if line.split()[:1] in (
+            ["ontology"], ["objprop"], ["dataprop"]))
+        name, axioms, diagnostics = token_path_parse(source, "f.oft")
+        assert [repr(ax) for ax in result.axioms] == [repr(ax) for ax in axioms]
