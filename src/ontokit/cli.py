@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -157,7 +158,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first `run` of the process
+    and kept: each parser is a few hundred objects in reference cycles."""
     parser = argparse.ArgumentParser(
         prog="ontokit",
         description="Parse, validate, query, export, and merge OFT ontology files.",
@@ -166,7 +170,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="parse, build, and validate")
     check.add_argument("files", nargs="+")
-    check.set_defaults(func=_cmd_check)
 
     query = sub.add_parser("query", help="evaluate a class expression")
     query.add_argument("files", nargs="+")
@@ -177,22 +180,18 @@ def _build_parser() -> argparse.ArgumentParser:
         default=QueryMode.INSTANCES.value,
         choices=[m.value for m in QueryMode],
     )
-    query.set_defaults(func=_cmd_query)
 
     export = sub.add_parser("export-dot", help="emit the taxonomy as DOT")
     export.add_argument("files", nargs="+")
     export.add_argument("--inferred", action="store_true")
-    export.set_defaults(func=_cmd_export_dot)
 
     stats = sub.add_parser("stats", help="count declared entities")
     stats.add_argument("files", nargs="+")
-    stats.set_defaults(func=_cmd_stats)
 
     merge_cmd = sub.add_parser("merge", help="merge two ontology files")
     merge_cmd.add_argument("first")
     merge_cmd.add_argument("second")
     merge_cmd.add_argument("-o", "--output", required=True)
-    merge_cmd.set_defaults(func=_cmd_merge)
 
     ingest = sub.add_parser("ingest", help="append individuals from a CSV file")
     ingest.add_argument("files", nargs="+")
@@ -200,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--class", dest="target_class", required=True)
     ingest.add_argument("--map", required=True, help="header=property[,header=property...]")
     ingest.add_argument("-o", "--output", required=True)
-    ingest.set_defaults(func=_cmd_ingest)
     return parser
 
 
@@ -211,16 +209,18 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     process-wide: do not call `run` while other threads of the process
     allocate cycles that they count on the collector to free."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Looked up at each call, so a replaced `_cmd_*` function is the one run.
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     # A command's objects live until it returns, and reference counting
     # frees what it drops, so a cyclic collection would find nothing and
     # only re-scan the ontology as it grows.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        return command(args)
     except _Failed as exc:
         _emit(exc.args[0])
         return 1

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .dlquery import QueryMode
@@ -16,6 +15,10 @@ QUERIES_FILE = "queries.tsv"
 
 
 def corpus_dir() -> Path:
+    # Imported here: `importlib.resources` brings `zipfile` and `tempfile`,
+    # which no command needs, into every start of the program.
+    from importlib import resources
+
     return Path(str(resources.files(__package__) / "corpus"))
 
 

@@ -256,10 +256,17 @@ def eval_query(
     An instance query computes one mask over `r.members_of.universe`, the
     sorted individuals, and decodes it once, so its answer comes out in
     bit order, which is sorted order. A taxonomy query intersects the
-    closure masks of its named classes. Direct modes keep only the result
-    elements closest to the query class (no other result element lies
-    between them and it). Only an instance query reads `r`, the
-    realization; the taxonomy modes take None.
+    closure masks of its named classes into a result mask R. The plain
+    modes decode R. A direct mode keeps only the members of R closest to
+    the query class (no other member of R lies between them and it), and
+    finds them without decoding R: it walks from the conjunct with the
+    fewest closure bits, up `direct_parents` or down `direct_children`,
+    goes past a reached class only when it is not in R, and keeps a
+    reached member of R when no other member of R lies beyond it. Every
+    path from that conjunct to a closest member runs through classes
+    outside R, so the walk reaches them all; for one named class it reads
+    only the class's direct neighbours. Only an instance query reads `r`,
+    the realization; the taxonomy modes take None.
     """
     expr.check_names(o)
     if mode is QueryMode.INSTANCES:
@@ -269,8 +276,26 @@ def eval_query(
     # query class itself.
     upward = mode in (QueryMode.SUPERCLASSES, QueryMode.DIRECT_SUPERCLASSES)
     along, across = (c.ancestors, c.descendants) if upward else (c.descendants, c.ancestors)
-    result = reduce(and_, (along.masks[name] for name in expr.named_conjuncts()))
-    found = along.names(result)
-    if mode in (QueryMode.DIRECT_SUBCLASSES, QueryMode.DIRECT_SUPERCLASSES):
-        found = [x for x in found if not across.masks[x] & result]
+    conjuncts = expr.named_conjuncts()
+    result = reduce(and_, (along.masks[name] for name in conjuncts))
+    if mode is QueryMode.SUBCLASSES or mode is QueryMode.SUPERCLASSES:
+        return sorted(along.names(result))
+    if not result:
+        return []
+    step = c.direct_parents if upward else c.direct_children
+    start = min(conjuncts, key=lambda name: along.masks[name].bit_count())
+    position, beyond = c.position, across.masks
+    found = []
+    seen: set[str] = set()
+    stack = list(step[start])
+    while stack:
+        x = stack.pop()
+        if x in seen:
+            continue
+        seen.add(x)
+        if result >> position[x] & 1:
+            if not beyond[x] & result:
+                found.append(x)
+        else:
+            stack.extend(step[x])
     return sorted(found)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Optional
 
@@ -66,9 +67,10 @@ class TaxonomyClosure:
 
     `ancestors` is strict (a class is not its own ancestor) and includes
     Thing for every other class; `descendants` is its inverse;
-    `direct_parents` keeps only the direct edges the closure was built from.
-    Both views are masks over `order`, the classes in a topological order
-    with parents first; `position` is each class's bit.
+    `direct_parents` keeps only the direct edges the closure was built from,
+    and `direct_children` is their inverse. Both closure views are masks
+    over `order`, the classes in a topological order with parents first;
+    `position` is each class's bit.
     """
 
     order: tuple[str, ...]
@@ -76,6 +78,17 @@ class TaxonomyClosure:
     ancestors: MaskView
     descendants: MaskView
     direct_parents: dict[str, frozenset[str]]
+
+    @cached_property
+    def direct_children(self) -> dict[str, list[str]]:
+        """Each class's direct subclasses, built on first read: only the
+        direct-subclasses query mode walks down the taxonomy, so computing
+        the closure does not pay for it."""
+        children: dict[str, list[str]] = {name: [] for name in self.order}
+        for name, parents in self.direct_parents.items():
+            for p in parents:
+                children[p].append(name)
+        return children
 
 
 @dataclass(frozen=True)

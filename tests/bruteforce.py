@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from decimal import Decimal
 
-from ontokit.dlquery import And, ClassExpr, Named, Some, ValueData, ValueObj, make_and
+from ontokit.dlquery import And, ClassExpr, Named, QueryMode, Some, ValueData, ValueObj, make_and
 from ontokit.model import (
     Axiom,
     Cardinality,
@@ -110,6 +110,23 @@ def oracle_instances(onto: Ontology, expr: ClassExpr) -> set[str]:
         for ax in onto.data_assertions
         if ax.prop == expr.prop and ax.value == expr.value
     }
+
+
+def oracle_taxonomy(onto: Ontology, names: list[str], mode: QueryMode) -> list[str]:
+    """The sorted answer of a taxonomy query on the intersection of `names`,
+    by definition over Warshall reachability: the classes strictly above
+    (or below) every name, and in a direct mode only those with no other
+    answer between them and the names."""
+    reach = warshall_reachability(onto.direct_parents)
+    if mode in (QueryMode.SUPERCLASSES, QueryMode.DIRECT_SUPERCLASSES):
+        found = {c for c in reach if all(c in reach[n] for n in names)}
+        if mode is QueryMode.DIRECT_SUPERCLASSES:
+            found = {c for c in found if not any(c in reach[d] for d in found)}
+    else:
+        found = {c for c in reach if all(n in reach[c] for n in names)}
+        if mode is QueryMode.DIRECT_SUBCLASSES:
+            found = {c for c in found if not any(d in reach[c] for d in found)}
+    return sorted(found)
 
 
 def oracle_cycles(onto: Ontology) -> list[tuple[str, str, int]]:

@@ -559,6 +559,22 @@ class TestCollectorPause:
         capsys.readouterr()
 
 
+    def test_commands_leave_no_cycles(self, corpus_files, capsys):
+        """The parser is built once per process and kept, so once it is
+        built (argparse leaves some cyclic garbage then), a command leaves
+        nothing for a collection to find."""
+        cli._parser()
+        for argv in (
+            ["stats", *corpus_files],
+            ["check", *corpus_files],
+            ["query", *corpus_files, "-q", "Date_fruit", "-m", "direct-subclasses"],
+        ):
+            gc.collect()
+            assert run(argv) == 0, argv
+            assert gc.collect() == 0, argv[0]
+        capsys.readouterr()
+
+
 def test_output_independent_of_hash_seed(corpus_files):
     """Byte-identical CLI output in fresh interpreters with different
     string-hash seeds."""
@@ -598,6 +614,22 @@ def test_python_m_entry_points(tmp_path, module):
     assert result.returncode == 1
     assert "E_UNKNOWN_REF Missing is not declared" in result.stderr
     assert result.stdout == "1 errors, 0 warnings\n"
+
+
+def test_start_leaves_package_resources_unloaded():
+    """`importlib.resources` (which loads `zipfile` and `tempfile`) is
+    imported when the corpus is read, not at every start of the CLI. `-S`
+    keeps `site` from importing it first."""
+    src = str(Path(ontokit.__file__).resolve().parents[1])
+    code = "import sys, ontokit.cli; print('importlib.resources' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "False\n"
 
 
 _CORPUS_LINES = [

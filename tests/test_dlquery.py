@@ -45,8 +45,11 @@ from ontokit.model import (
     build_ontology,
 )
 from ontokit.oft import scan
-from ontokit.reasoner import compute_closure, realize
+from ontokit.reasoner import MaskView, compute_closure, realize
 from ontokit.validator import validate
+
+
+TAXONOMY_MODES = [mode for mode in QueryMode if mode is not QueryMode.INSTANCES]
 
 
 def setup_ontology(axioms):
@@ -420,6 +423,33 @@ class TestEvalClassModes:
             for d in direct:
                 reachable |= corpus_closure.descendants[d]
             assert all_subs <= reachable
+
+    def test_matches_bruteforce_oracle(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            axioms = bruteforce.random_taxonomy_axioms(
+                rng, rng.randint(1, 25), redundant=rng.randint(0, 3)
+            )
+            onto, closure, _ = setup_ontology(axioms)
+            candidates = sorted(onto.classes) + [THING]
+            for _ in range(2):
+                names = rng.sample(candidates, rng.randint(1, min(3, len(candidates))))
+                expr = make_and(map(Named, names))
+                for mode in TAXONOMY_MODES:
+                    got = eval_query(onto, closure, None, expr, mode)
+                    assert got == bruteforce.oracle_taxonomy(onto, names, mode), (seed, names, mode)
+
+    def test_direct_modes_decode_no_mask(self, corpus, corpus_closure, monkeypatch):
+        """A direct query walks the taxonomy from the query class and never
+        decodes the set of all its subclasses or superclasses."""
+        def refuse(view, mask):
+            raise AssertionError("a direct query decoded a mask")
+
+        monkeypatch.setattr(MaskView, "names", refuse)
+        for names in (["Date_fruit"], ["Kimri"], [THING], ["Kimri", "Tamr"], ["Dates", "Quality_profile"]):
+            for mode in (QueryMode.DIRECT_SUBCLASSES, QueryMode.DIRECT_SUPERCLASSES):
+                got = eval_query(corpus, corpus_closure, None, make_and(map(Named, names)), mode)
+                assert got == bruteforce.oracle_taxonomy(corpus, names, mode), (names, mode)
 
     def test_restriction_in_class_mode_unsupported(self, corpus, corpus_closure, corpus_realization):
         expr = parse_query("has_benefits some Health")
