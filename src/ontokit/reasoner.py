@@ -8,9 +8,9 @@ here; the taxonomy must be a DAG and cycles are hard errors.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress
 from typing import Optional
 
@@ -30,13 +30,20 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 class MaskView(Mapping[str, frozenset[str]]):
     """Read-only map from a name to a set of names stored as int bitmasks.
 
-    Bit i of a mask stands for `universe[i]`. A set is decoded on its first
-    access and cached; `masks` holds the raw ints for bitwise callers.
+    Bit i of a mask stands for `universe[i]`. `keys` holds the names the view
+    maps (by default, those of `masks`): `in`, `len` and iteration answer
+    from it and compute no mask. `masks` holds the raw ints for bitwise
+    callers; the reasoner's views compute them on first read (a `dict`
+    subclass whose `__missing__` computes, so a hit is a plain lookup). A
+    set is decoded on its first access and cached.
     """
 
-    def __init__(self, masks: dict[str, int], universe: Sequence[str]):
+    def __init__(
+        self, masks: dict[str, int], universe: Sequence[str], keys: Optional[Collection[str]] = None
+    ):
         self.masks = masks
         self.universe = universe
+        self._keys = masks if keys is None else keys
         self._decoded: dict[str, frozenset[str]] = {}
 
     def names(self, mask: int) -> Iterator[str]:
@@ -52,13 +59,72 @@ class MaskView(Mapping[str, frozenset[str]]):
         return found
 
     def __contains__(self, key: object) -> bool:
-        return key in self.masks
+        return key in self._keys
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.masks)
+        return iter(self._keys)
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return len(self._keys)
+
+
+class _WholeMasks(dict):
+    """Masks that `fill` computes all at once, on the first read of an
+    entry that `keys` names; reading a name outside `keys` raises KeyError."""
+
+    def __init__(self, keys: Collection[str], fill: Callable[[], dict[str, int]]):
+        super().__init__()
+        self._keys = keys
+        self.fill = fill
+
+    def __missing__(self, key: str) -> int:
+        if self or key not in self._keys:
+            raise KeyError(key)
+        self.update(self.fill())
+        return self[key]
+
+
+class _MemberMasks(dict):
+    """`Realization.members_of`'s masks, one class at a time: a missing
+    class's mask is one walk down `direct_children` that collects the
+    positions of the individuals asserted in each class it reaches. Only
+    that class is memoized; memoizing every class a walk passes would
+    rebuild the whole realization."""
+
+    def __init__(self, closure: TaxonomyClosure, asserted: dict[str, list[int]]):
+        super().__init__()
+        self.closure = closure
+        self.asserted = asserted
+
+    def __missing__(self, cls: str) -> int:
+        if cls not in self.closure.position:
+            raise KeyError(cls)
+        children, asserted = self.closure.direct_children, self.asserted
+        found: list[int] = []
+        seen = {cls}
+        stack = [cls]
+        while stack:
+            node = stack.pop()
+            found += asserted.get(node, ())
+            for child in children[node]:
+                if child not in seen:
+                    seen.add(child)
+                    stack.append(child)
+        mask = self[cls] = _mask(found)
+        return mask
+
+
+def _mask(positions: list[int]) -> int:
+    """The int with the bits at `positions` set, read from a numeral in one
+    linear pass; OR-ing one shifted bit at a time would copy the int for
+    every position."""
+    if not positions:
+        return 0
+    top = max(positions)
+    digits = bytearray(b"0") * (top + 1)
+    for p in positions:
+        digits[top - p] = 49  # "1"
+    return int(digits, 2)
 
 
 @dataclass(frozen=True)
@@ -71,6 +137,11 @@ class TaxonomyClosure:
     and `direct_children` is their inverse. Both closure views are masks
     over `order`, the classes in a topological order with parents first;
     `position` is each class's bit.
+
+    `compute_closure` fills `order`, `position` and `direct_parents`. Each
+    closure view computes all of its masks, in one pass over `order`, the
+    first time any of them is read, so a command that reads neither (such
+    as `check`) pays for neither.
     """
 
     order: tuple[str, ...]
@@ -82,8 +153,8 @@ class TaxonomyClosure:
     @cached_property
     def direct_children(self) -> dict[str, list[str]]:
         """Each class's direct subclasses, built on first read: only the
-        direct-subclasses query mode walks down the taxonomy, so computing
-        the closure does not pay for it."""
+        direct-subclasses query mode and `members_of` walk down the
+        taxonomy, so computing the closure does not pay for it."""
         children: dict[str, list[str]] = {name: [] for name in self.order}
         for name, parents in self.direct_parents.items():
             for p in parents:
@@ -100,6 +171,11 @@ class Realization:
     Instance queries compute on the `members_of` masks, with
     `Ontology.assertion_index` over the same universe, and decode only
     their answer.
+
+    Both views compute on first read: `members_of` one class at a time
+    (see `_MemberMasks`), so `check` computes only its domain and range
+    classes and a query only the classes it names; `types_of` every
+    individual's mask, from the whole `ancestors` view, at once.
     """
 
     members_of: MaskView
@@ -188,25 +264,44 @@ def compute_closure(o: Ontology) -> tuple[Optional[TaxonomyClosure], list[Diagno
     # Without cycles Tarjan emits every class after its parents.
     order = tuple(c[0] for c in components)
     position = {name: i for i, name in enumerate(order)}
+    edges = (order, position, parents)
+    closure = TaxonomyClosure(
+        order=order,
+        position=position,
+        ancestors=_whole_view(position, order, partial(_ancestor_masks, *edges)),
+        descendants=_whole_view(position, order, partial(_descendant_masks, *edges)),
+        direct_parents=parents,
+    )
+    return closure, []
+
+
+def _whole_view(
+    keys: Collection[str], universe: Sequence[str], fill: Callable[[], dict[str, int]]
+) -> MaskView:
+    return MaskView(_WholeMasks(keys, fill), universe, keys)
+
+
+def _ancestor_masks(
+    order: Sequence[str], position: dict[str, int], parents: Mapping[str, frozenset[str]]
+) -> dict[str, int]:
     ancestors: dict[str, int] = {}
     for node in order:
         acc = 0
         for p in parents[node]:
             acc |= ancestors[p] | 1 << position[p]
         ancestors[node] = acc
+    return ancestors
+
+
+def _descendant_masks(
+    order: Sequence[str], position: dict[str, int], parents: Mapping[str, frozenset[str]]
+) -> dict[str, int]:
     descendants = dict.fromkeys(order, 0)
     for node in reversed(order):
         below = descendants[node] | 1 << position[node]
         for p in parents[node]:
             descendants[p] |= below
-    closure = TaxonomyClosure(
-        order=order,
-        position=position,
-        ancestors=MaskView(ancestors, order),
-        descendants=MaskView(descendants, order),
-        direct_parents=parents,
-    )
-    return closure, []
+    return descendants
 
 
 def realize(o: Ontology, closure: TaxonomyClosure) -> Realization:
@@ -214,26 +309,31 @@ def realize(o: Ontology, closure: TaxonomyClosure) -> Realization:
 
     An individual belongs to its asserted types and to every ancestor of
     those types; `members_of` holds the inverse view with an entry (possibly
-    empty) for every class.
+    empty) for every class. Both views compute on first read; this records
+    only the positions of each class's asserted individuals.
     """
     individuals = o.individual_order
-    anc = closure.ancestors.masks
-    position = closure.position
-    members = dict.fromkeys(closure.order, 0)
-    types_of: dict[str, int] = {}
+    asserted: dict[str, list[int]] = {}
     for i, ind in enumerate(individuals):
+        for t in o.asserted_types.get(ind, ()):
+            asserted.setdefault(t, []).append(i)
+    return Realization(
+        members_of=MaskView(_MemberMasks(closure, asserted), individuals, closure.position),
+        types_of=_whole_view(
+            dict.fromkeys(individuals), closure.order, partial(_type_masks, o, closure)
+        ),
+    )
+
+
+def _type_masks(o: Ontology, closure: TaxonomyClosure) -> dict[str, int]:
+    anc, position = closure.ancestors.masks, closure.position
+    types_of: dict[str, int] = {}
+    for ind in o.individual_order:
         acc = 0
         for t in o.asserted_types.get(ind, ()):
-            members[t] |= 1 << i
             acc |= anc[t] | 1 << position[t]
         types_of[ind] = acc
-    for node in reversed(closure.order):
-        for p in closure.direct_parents[node]:
-            members[p] |= members[node]
-    return Realization(
-        members_of=MaskView(members, individuals),
-        types_of=MaskView(types_of, closure.order),
-    )
+    return types_of
 
 
 def applicable_properties(

@@ -19,6 +19,7 @@ import ontokit
 from ontokit import cli
 from ontokit.cli import run
 from ontokit.dlquery import MAX_NESTING
+from ontokit.model import Cardinality
 from ontokit.corpus import corpus_paths
 from ontokit.oft import load_sources, serialize_oft
 
@@ -572,6 +573,89 @@ class TestCollectorPause:
             gc.collect()
             assert run(argv) == 0, argv
             assert gc.collect() == 0, argv[0]
+        capsys.readouterr()
+
+
+class TestLazyViews:
+    """Each command computes only the closure and membership masks it reads:
+    a spy keeps every closure and realization the commands make, and the
+    test reads which entries of their view dicts were computed."""
+
+    @pytest.fixture()
+    def made(self, monkeypatch):
+        made = {"closures": [], "realizations": []}
+
+        def spy(module, name, kind):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                result = real(*args)
+                made[kind].append(result[0] if kind == "closures" else result)
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(cli, "compute_closure", "closures")
+        spy(ontokit.exchange, "compute_closure", "closures")
+        spy(cli, "realize", "realizations")
+        return made
+
+    @staticmethod
+    def computed(view) -> set[str]:
+        return set(dict.keys(view.masks))
+
+    def test_check_computes_only_domain_and_range_members(self, corpus, corpus_files, made, capsys):
+        assert run(["check", *corpus_files]) == 0
+        (closure,), (realization,) = made["closures"], made["realizations"]
+        assert not self.computed(closure.ancestors) and not self.computed(closure.descendants)
+        assert not self.computed(realization.types_of)
+        asserted = {ax.prop for ax in corpus.obj_assertions + corpus.data_assertions}
+        read = {corpus.domains[p] for p in asserted} | {
+            corpus.ranges[ax.prop] for ax in corpus.obj_assertions
+        }
+        read |= {
+            corpus.domains[p]
+            for p in corpus.data_properties
+            if corpus.facets[p].cardinality is Cardinality.MULTIPLE
+        }
+        read.discard(None)
+        assert read and self.computed(realization.members_of) == read
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "query, named",
+        [("Dates", {"Dates"}), ("Species and has_benefits some Health", {"Species", "Health"})],
+    )
+    def test_instance_query_computes_only_its_classes(self, corpus_files, made, capsys, query, named):
+        assert run(["query", *corpus_files, "-q", query]) == 0
+        (closure,), (realization,) = made["closures"], made["realizations"]
+        assert not self.computed(closure.ancestors) and not self.computed(closure.descendants)
+        assert not self.computed(realization.types_of)
+        assert self.computed(realization.members_of) == named
+        capsys.readouterr()
+
+    def test_other_commands_compute_no_members(self, corpus_files, tmp_path, made, capsys):
+        csv_path = write(tmp_path / "rows.csv", "id,year\nKhalas,1900\n")
+        for argv in [
+            ["ingest", *corpus_files, "--csv", csv_path, "--class", "Species",
+             "--map", "year=has_date_of_origin", "-o", str(tmp_path / "i.oft")],
+            ["merge", corpus_files[0], corpus_files[0], "-o", str(tmp_path / "m.oft")],
+            *(["query", *corpus_files, "-q", "Developing_stages", "-m", mode]
+              for mode in ("subclasses", "direct-subclasses", "superclasses", "direct-superclasses")),
+        ]:
+            assert run(argv) == 0, argv
+        # Six closures, and no realization whose members a command could compute.
+        assert len(made["closures"]) == 6 and not made["realizations"]
+        capsys.readouterr()
+
+    def test_inferred_dot_computes_no_descendants(self, corpus_files, made, capsys):
+        assert run(["export-dot", *corpus_files]) == 0
+        assert run(["export-dot", *corpus_files, "--inferred"]) == 0
+        asserted, inferred = made["closures"]
+        assert not self.computed(asserted.ancestors) and not self.computed(asserted.descendants)
+        assert self.computed(inferred.ancestors) == set(inferred.order)
+        assert not self.computed(inferred.descendants)
+        assert not made["realizations"]
         capsys.readouterr()
 
 

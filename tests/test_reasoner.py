@@ -10,6 +10,7 @@ import bruteforce
 from ontokit.dlquery import Named
 from ontokit.model import (
     ClassDecl,
+    IndividualDecl,
     ObjPropDecl,
     SubClassOf,
     THING,
@@ -123,6 +124,72 @@ class TestMaskView:
         for mask in (-1, -2, -(1 << 70)):
             with pytest.raises(ValueError, match="never negative"):
                 view.names(mask)
+
+
+class TestLazyViews:
+    """The views compute on first read: `in`, `len` and iteration compute
+    nothing, `members_of` memoizes only the classes read, and entries read
+    partially and in any order equal the oracles'."""
+
+    @staticmethod
+    def computed(view) -> set[str]:
+        return set(dict.keys(view.masks))
+
+    def test_partial_reads_match_oracles_on_random_ontologies(self):
+        rng = random.Random(41)
+        for draw in range(300):
+            onto = bruteforce.random_ontology(
+                rng,
+                n_classes=rng.randint(1, 25),
+                n_individuals=rng.randint(0, 12),
+                redundant=rng.randint(0, 3),
+            )
+            closure, _ = compute_closure(onto)
+            realization = realize(onto, closure)
+            views = {
+                "ancestors": closure.ancestors,
+                "descendants": closure.descendants,
+                "members_of": realization.members_of,
+                "types_of": realization.types_of,
+            }
+            classes = [*closure.order]
+            assert sorted(classes) == sorted(onto.classes | {THING})
+            individuals = [*onto.individual_order]
+            for name, view in views.items():
+                keys = individuals if name == "types_of" else classes
+                assert list(view) == keys and len(view) == len(keys), (draw, name)
+                assert all(k in view for k in keys) and "Nope" not in view
+                assert not self.computed(view), (draw, name)
+
+            reach = bruteforce.warshall_reachability(onto.direct_parents)
+            reads = [(name, k) for name, view in views.items() for k in view]
+            reads = rng.sample(reads, rng.randint(0, len(reads)))
+            for name, key in reads:
+                got = views[name][key]
+                if name == "ancestors":
+                    expected = reach[key]
+                elif name == "descendants":
+                    expected = {c for c in reach if key in reach[c]}
+                elif name == "members_of":
+                    expected = bruteforce.oracle_instances(onto, Named(key))
+                else:
+                    expected = bruteforce.walk_types(onto, key)
+                assert got == expected, (draw, name, key)
+            read_members = {key for name, key in reads if name == "members_of"}
+            assert self.computed(realization.members_of) == read_members, draw
+
+    def test_long_chain_reads_without_recursion(self):
+        n = 5000
+        names = [f"C{i:04d}" for i in range(n)]
+        axioms = [ClassDecl(c) for c in names]
+        axioms += [SubClassOf(names[i], names[i - 1]) for i in range(1, n)]
+        axioms += [IndividualDecl(f"i{i}", (names[i],)) for i in range(0, n, 1000)]
+        onto, closure = closure_of(axioms)
+        realization = realize(onto, closure)
+        assert realization.members_of[names[0]] == {f"i{i}" for i in range(0, n, 1000)}
+        assert realization.members_of[names[-1]] == frozenset()
+        assert closure.ancestors[names[-1]] == {*names[:-1], THING}
+        assert realization.types_of["i4000"] == {*names[:4001], THING}
 
 
 class TestCycles:
