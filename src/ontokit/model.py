@@ -656,7 +656,10 @@ def _reference_faults(
     one variant: a name missing from `symbols` or declared as another kind
     than `wanted`. Each distinct name is looked up once when all are sound."""
     get = attrgetter(field_name)
-    names = set(chain.from_iterable(map(_named, set(map(get, group)))))
+    names = set(map(get, group)) - {None}
+    # A field holds the same shape in every axiom; only a list of names is a tuple.
+    if names and type(next(iter(names))) is tuple:
+        names = set(chain.from_iterable(names))
     if set(map(symbols.get, names)) <= {wanted}:
         return []
     diags = []

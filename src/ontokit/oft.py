@@ -62,7 +62,7 @@ _SPECIAL_KINDS = frozenset({"end", "word", "quoted", "closed"})
 _INVALID_ESCAPE = re.compile(r'(?:[^\\]|\\["\\])*\\([^"\\])', re.S)
 _ESCAPE = re.compile(r"\\(.)", re.S)
 
-# The lexical syntax that the token patterns and the OFT head patterns
+# The lexical syntax that the token patterns and the OFT line pattern
 # share. `stop` is a language's punctuation and comment characters, escaped.
 
 
@@ -149,60 +149,46 @@ _OFT_COMMENT = "#"
 _OFT_TOKENS = token_pattern(_OFT_PUNCTUATION, comment=_OFT_COMMENT)
 
 
-def _head_patterns() -> dict[str, Callable[[str], Optional[re.Match[str]]]]:
-    """Compile the patterns of a whole well-formed `rel`, `attr`,
-    `individual` or `class` line, one per statement head; each pattern's
-    `fullmatch`, keyed by the first character of its head.
+def _line_pattern() -> re.Pattern[str]:
+    """Compile the pattern of one line of OFT text and its line break, for
+    `finditer` over a whole text. `lastgroup` tells what the line is:
+    `object` for a well-formed `rel` line, the value's kind for an `attr`
+    line, `individual` or `class` for those heads, None for a blank or
+    comment line, and `other`, the whole line, for any other.
 
-    Words, literals and separators are those of `_OFT_TOKENS`; blanks and
-    tabs may start the line, and a blank or a `#` comment may end it. A
-    string may hold only the escapes `\\"` and `\\\\`; a value word that is
-    neither a boolean nor a number is taken as a date-time, which `Literal`
-    checks. A match's `Match.lastgroup` names the head, or for an `attr`
-    line, which has no group of its own, the literal kind of its value.
+    Words, literals and separators are those of `_OFT_TOKENS`, with the line
+    break as one more stop character. A string may hold only the escapes
+    `\\"` and `\\\\`; a value word that is neither a boolean nor a number is
+    taken as a date-time, which `Literal` checks.
     """
-    stop = re.escape("".join(_OFT_PUNCTUATION) + _OFT_COMMENT)
+    stop = re.escape("".join(_OFT_PUNCTUATION) + _OFT_COMMENT) + r"\n"
     end = _word_end(stop)
     # A blank, a comma or the end of the line follows every name, so each
     # is a whole word.
     name = _ident(stop)
     names = rf"{name}(?:[ \t]*,[ \t]*{name})*"
     value = "|".join([
-        r'"(?P<string>[^"\\]*(?:\\["\\][^"\\]*)*)"',
+        r'"(?P<string>[^"\\\n]*(?:\\["\\][^"\\\n]*)*)"',
         rf"(?P<boolean>{BOOLEANS}){end}",
         rf"(?P<number>{NUMBER}){end}",
         _word("datetime", stop),
     ])
-    # Both assertions name a subject and a property before their object.
-    subject_prop = rf"[ \t]+(?P<subject>{name})[ \t]+(?P<prop>{name})[ \t]+"
-    heads = {
-        "r": rf"(?P<rel>rel{subject_prop}(?P<object>{name}))",
-        "a": rf"attr{subject_prop}(?:{value})",
-        "i": rf"(?P<individual>individual[ \t]+(?P<name>{name})[ \t]+type[ \t]+(?P<types>{names}))",
-        "c": rf"(?P<class>class[ \t]+(?P<name>{name})(?:[ \t]+sub[ \t]+(?P<parents>{names}))?)",
-    }
-    tail = rf"[ \t]*(?:{re.escape(_OFT_COMMENT)}.*)?"
-    return {
-        first: re.compile(rf"[ \t]*{head}{tail}", re.S).fullmatch for first, head in heads.items()
-    }
+    heads = "|".join([
+        # Both assertions name a subject and a property before their object.
+        rf"(?:(?P<rel>rel)|attr)[ \t]+(?P<subject>{name})[ \t]+(?P<prop>{name})[ \t]+"
+        rf"(?(rel)(?P<object>{name})|(?:{value}))",
+        rf"(?P<individual>individual[ \t]+(?P<name>{name})[ \t]+type[ \t]+(?P<types>{names}))",
+        rf"(?P<class>class[ \t]+(?P<cls>{name})(?:[ \t]+sub[ \t]+(?P<parents>{names}))?)",
+    ])
+    comment = rf"(?:{re.escape(_OFT_COMMENT)}[^\n]*)?"
+    return re.compile(
+        rf"(?:[ \t]*(?:(?:{heads})[ \t]*{comment}|{comment})|(?P<other>[^\n]+))(?:\n|\Z)"
+    )
 
 
-_HEADS = _head_patterns()
+_LINE = _line_pattern()
+_SPLIT_NAMES = re.compile(r"[ \t]*,[ \t]*").split
 
-
-def _names(text: str) -> list[str]:
-    """The identifiers of a comma-separated list a head pattern matched."""
-    return [n.strip(" \t") for n in text.split(",")]
-
-
-def _lines(source: str) -> list[str]:
-    """The lines of `source` without their LF or CRLF ends."""
-    lines = source.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if "\r" in source:
-        lines = [raw[:-1] if raw.endswith("\r") else raw for raw in lines]
-    return lines
 
 
 @dataclass
@@ -360,33 +346,27 @@ class _Reader:
         return lit
 
     def class_line(self, cls: str, parents: list[str], ln: int) -> None:
-        """A `class` line declares its class once per file."""
+        """A `class` line of the token path declares its class once per file,
+        as `read` does inline for the lines `_LINE` matches."""
         if cls not in self.declared_classes:
             self.declared_classes.add(cls)
             self.axioms.append(ClassDecl(cls, file=self.file, line=ln))
         self.axioms.extend(SubClassOf(cls, p, file=self.file, line=ln) for p in parents)
 
     def read(self, source: str) -> None:
-        """Add the axioms of every line of `source`. A blank or comment line
-        holds none. Otherwise the line's first character after its leading
-        blanks and tabs picks the one head pattern it may match, and a match
-        builds the line's axioms from its groups; every other line (any
+        """Add the axioms of every line of `source`, read in one scan by
+        `_LINE` after CRLF ends become LF. A blank or comment line holds
+        none. A well-formed `rel`, `attr`, `individual` or `class` line
+        builds its axioms from the match's groups; every other line (any
         other statement, a malformed one) and one whose literal is not
         representable goes through `token_line`, which finds the same
         axioms or reports the fault."""
-        file, append, literal, heads = self.file, self.axioms.append, self.literal, _HEADS
-        empty = ("", _OFT_COMMENT)  # the start of a blank or comment line
-        for ln, line in enumerate(_lines(source), 1):
-            first = line.lstrip(" \t")[:1]
-            if first in empty:
-                continue
-            fullmatch = heads.get(first)
-            m = None if fullmatch is None else fullmatch(line)
-            if m is None:
-                self.token_line(line, ln)
-                continue
+        # A line's final CR goes: the one before each LF, and one at the end.
+        source = source.replace("\r\n", "\n").removesuffix("\r")
+        file, append, literal = self.file, self.axioms.append, self.literal
+        for ln, m in enumerate(_LINE.finditer(source), 1):
             head = m.lastgroup
-            if head == "rel":
+            if head == "object":  # a `rel` line
                 append(ObjAssertion(*m.group("subject", "prop", "object"), file=file, line=ln))
             elif head in LITERAL_KINDS:  # an `attr` line: `head` is its value's kind
                 lexical = m[head]
@@ -395,21 +375,29 @@ class _Reader:
                 try:
                     value = literal(LITERAL_KINDS[head], lexical)
                 except ValueError:  # a line break, a number out of range, not a date
-                    self.token_line(line, ln)
+                    self.token_line(m[0].rstrip("\n"), ln)
                     continue
                 append(DataAssertion(*m.group("subject", "prop"), value, file=file, line=ln))
             elif head == "individual":
-                types = tuple(_names(m["types"]))
+                names = m["types"]
+                types = tuple(_SPLIT_NAMES(names)) if "," in names else (names,)
                 append(IndividualDecl(m["name"], types, file=file, line=ln))
-            else:  # "class"
-                parents = m["parents"]
-                self.class_line(m["name"], _names(parents) if parents else [], ln)
+            elif head == "class":
+                cls, parents = m.group("cls", "parents")
+                if cls not in self.declared_classes:
+                    self.declared_classes.add(cls)
+                    append(ClassDecl(cls, file=file, line=ln))
+                if parents is not None:
+                    for parent in _SPLIT_NAMES(parents) if "," in parents else (parents,):
+                        append(SubClassOf(cls, parent, file=file, line=ln))
+            elif head == "other":
+                self.token_line(m[head], ln)
 
     def token_line(self, line: str, ln: int) -> None:
         """Parse one line through the token path: its axioms, or the
         diagnostic of its first fault. It reads every kind of statement with
         a `TokenCursor` and is the only code that reports faults, each a
-        `SyntaxFault`; the head patterns are a shortcut past it for
+        `SyntaxFault`; the line pattern is a shortcut past it for
         well-formed lines."""
         try:
             cur = TokenCursor(line, _OFT_TOKENS, SyntaxFault)

@@ -17,6 +17,7 @@ from typing import Optional
 from .model import (
     Diagnostic,
     E_CYCLE,
+    IndividualDecl,
     Ontology,
     SubClassOf,
     THING,
@@ -313,10 +314,11 @@ def realize(o: Ontology, closure: TaxonomyClosure) -> Realization:
     only the positions of each class's asserted individuals.
     """
     individuals = o.individual_order
+    position = dict(zip(individuals, range(len(individuals))))
     asserted: dict[str, list[int]] = {}
-    for i, ind in enumerate(individuals):
-        for t in o.asserted_types.get(ind, ()):
-            asserted.setdefault(t, []).append(i)
+    for ax in o._all(IndividualDecl):
+        for t in ax.types:
+            asserted.setdefault(t, []).append(position[ax.name])
     return Realization(
         members_of=MaskView(_MemberMasks(closure, asserted), individuals, closure.position),
         types_of=_whole_view(

@@ -2,16 +2,23 @@
 
 Checks every data assertion against its property's facet (value type,
 allowed values, cardinality) and every object assertion against the
-property's domain and range. Validation never throws; all findings land in
-the report, sorted by file, line, and code.
+property's domain and range. Each property's distinct values, and its
+subjects or objects as one set, are tested once; its assertions are walked
+only to place findings. Validation never throws; all findings land in the
+report, sorted by file, line, and code.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
+from typing import Iterator
 
 from .model import (
     Cardinality,
+    DataAssertion,
     Diagnostic,
     E_ALLOWED_VALUE,
     E_CARD_MULTIPLE,
@@ -19,6 +26,7 @@ from .model import (
     E_DOMAIN,
     E_RANGE,
     E_TYPE_MISMATCH,
+    FacetSpec,
     Ontology,
     Severity,
     conforms,
@@ -38,29 +46,58 @@ class ValidationReport:
         return not any(d.severity is Severity.ERROR for d in self.diagnostics)
 
 
+_SUBJECT, _OBJECT, _VALUE_KEY = map(attrgetter, ("subject", "object", "value._key"))
+
+
+def _value_faults(prop: str, facet: FacetSpec, group: list[DataAssertion]) -> Iterator[Diagnostic]:
+    """The facet findings of one data property's assertions, in axiom order."""
+    # One literal per distinct value: literals equal by key meet a facet alike.
+    faults = {}
+    for key, value in dict(zip(map(_VALUE_KEY, group), map(attrgetter("value"), group))).items():
+        if not conforms(value, facet.value_type):
+            faults[key] = (E_TYPE_MISMATCH, f"is not a {facet.value_type.value}")
+        elif not facet.permits(value):
+            faults[key] = (E_ALLOWED_VALUE, "is outside the allowed set")
+    if faults:
+        for ax in group:
+            fault = faults.get(ax.value._key)
+            if fault is not None:
+                yield ax.error(fault[0], f"value {ax.value.lexical!r} of {prop} {fault[1]}")
+    # Every value after a subject's first breaks single cardinality.
+    if facet.cardinality is Cardinality.SINGLE and len(set(map(_SUBJECT, group))) < len(group):
+        seen: set[str] = set()
+        for ax in group:
+            if ax.subject in seen:
+                message = f"{ax.subject} has more than one value for single-cardinality {prop}"
+                yield ax.error(E_CARD_SINGLE, message)
+            seen.add(ax.subject)
+
+
 def validate(
     o: Ontology, closure: TaxonomyClosure, realization: Realization
 ) -> ValidationReport:
     """Validate all assertions; returns the same report for the same input."""
     diags: list[Diagnostic] = []
     members = realization.members_of
+    # Each property's assertions, in axiom order; no name is two kinds of property.
+    groups: defaultdict[str, list] = defaultdict(list)
+    for ax in chain(o.data_assertions, o.obj_assertions):
+        groups[ax.prop].append(ax)
 
-    # Values per (property, subject), counted as the assertions go by: a
-    # value whose count passes 1 breaks single cardinality.
-    counts: dict[tuple[str, str], int] = {}
-    for ax in o.data_assertions:
-        facet = o.facets[ax.prop]
-        if not conforms(ax.value, facet.value_type):
-            message = f"value {ax.value.lexical!r} of {ax.prop} is not a {facet.value_type.value}"
-            diags.append(ax.error(E_TYPE_MISMATCH, message))
-        elif not facet.permits(ax.value):
-            message = f"value {ax.value.lexical!r} of {ax.prop} is outside the allowed set"
-            diags.append(ax.error(E_ALLOWED_VALUE, message))
-        key = (ax.prop, ax.subject)
-        count = counts[key] = counts.get(key, 0) + 1
-        if count > 1 and facet.cardinality is Cardinality.SINGLE:
-            message = f"{ax.subject} has more than one value for single-cardinality {ax.prop}"
-            diags.append(ax.error(E_CARD_SINGLE, message))
+    for prop, group in groups.items():
+        facet = o.facets.get(prop)
+        if facet is not None:
+            diags += _value_faults(prop, facet, group)
+        for code, what, cls, name in (
+            (E_DOMAIN, "domain", o.domains.get(prop), _SUBJECT),
+            (E_RANGE, "range", o.ranges.get(prop), _OBJECT),
+        ):
+            # One test of the group's names; a walk only to find the outsiders.
+            if cls is not None and not members[cls].issuperset(map(name, group)):
+                for ax in group:
+                    if name(ax) not in members[cls]:
+                        message = f"{name(ax)} is outside the {what} {cls} of {prop}"
+                        diags.append(ax.error(code, message))
 
     # Multiple cardinality reads as "at least one value"; absence is only a
     # warning so half-authored individuals do not hard-fail.
@@ -68,21 +105,10 @@ def validate(
         domain = o.domains.get(prop)
         if o.facets[prop].cardinality is not Cardinality.MULTIPLE or domain is None:
             continue
-        for ind in members[domain]:
-            if (prop, ind) not in counts:
-                message = f"{ind} has no value for multiple-cardinality {prop}"
-                loc = o.individual_locations.get(ind, ("", 0))
-                diags.append(warning(E_CARD_MULTIPLE, message, *loc))
-
-    for ax in o.data_assertions + o.obj_assertions:
-        domain = o.domains.get(ax.prop)
-        if domain is not None and ax.subject not in members[domain]:
-            message = f"{ax.subject} is outside the domain {domain} of {ax.prop}"
-            diags.append(ax.error(E_DOMAIN, message))
-    for ax in o.obj_assertions:
-        rng = o.ranges.get(ax.prop)
-        if rng is not None and ax.object not in members[rng]:
-            diags.append(ax.error(E_RANGE, f"{ax.object} is outside the range {rng} of {ax.prop}"))
+        for ind in members[domain].difference(map(_SUBJECT, groups.get(prop, ()))):
+            message = f"{ind} has no value for multiple-cardinality {prop}"
+            loc = o.individual_locations.get(ind, ("", 0))
+            diags.append(warning(E_CARD_MULTIPLE, message, *loc))
 
     checked = len(o.data_assertions) + len(o.obj_assertions)
     return ValidationReport(tuple(sort_diagnostics(diags)), checked)

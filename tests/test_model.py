@@ -312,6 +312,35 @@ class TestBuildOntology:
         assert onto is None
         assert [(d.code, d.message, d.line) for d in diags] == [finding]
 
+    @pytest.mark.parametrize(
+        "axioms",
+        [
+            # The only unsound names sit in the types of individuals.
+            [
+                ClassDecl("A"),
+                ObjPropDecl("p"),
+                IndividualDecl("i", ("A", "B"), line=3),
+                IndividualDecl("j", ("A",), line=4),
+                IndividualDecl("k", ("p", "A"), line=5),
+            ],
+            # Properties with a range and no domain: only the ranges are unsound.
+            [
+                ClassDecl("A"),
+                ObjPropDecl("p"),
+                ObjPropDecl("q", None, "B", line=3),
+                ObjPropDecl("r", None, "A", line=4),
+                ObjPropDecl("s", None, "p", line=5),
+            ],
+        ],
+    )
+    def test_reference_finding_texts(self, axioms):
+        onto, diags = build_ontology("t", axioms)
+        assert onto is None
+        assert [(d.code, d.message, d.line) for d in diags] == [
+            ("E_UNKNOWN_REF", "B is not declared", 3),
+            ("E_KIND_CLASH", "p used as class but declared as object property", 5),
+        ]
+
     def test_ontology_keys_a_dict(self, corpus):
         other = build_ok([ClassDecl("A")])
         cache = {corpus: "corpus", other: "other"}

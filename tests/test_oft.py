@@ -25,7 +25,7 @@ from ontokit.model import (
     canonical_axioms,
     is_ident,
 )
-from ontokit.oft import _OFT_TOKENS, _Reader, _lines, parse_oft, scan, serialize_oft
+from ontokit.oft import _OFT_TOKENS, _Reader, parse_oft, scan, serialize_oft
 
 
 def parse_clean(source):
@@ -361,10 +361,19 @@ def test_serialize_parse_fixpoint(seed, n_classes, n_assertions):
     assert serialize_oft(rebuilt) == text
 
 
+def split_lines(source):
+    """The lines of `source` without their LF or CRLF ends, split with no
+    pattern: the reference for the one-scan reader's lines."""
+    lines = source.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [raw[:-1] if raw.endswith("\r") else raw for raw in lines]
+
+
 def token_path_parse(source, file_name):
     """`parse_oft` with every line read by the token path alone."""
     reader = _Reader(file_name)
-    for ln, line in enumerate(_lines(source), 1):
+    for ln, line in enumerate(split_lines(source), 1):
         reader.token_line(line, ln)
     return reader.name, reader.axioms, reader.diagnostics
 
@@ -382,6 +391,9 @@ _VALUES = st.sampled_from([
     "2020-02-30", "2020-01-01T", "2020-1-1", "A",
 ])
 _TRAILERS = st.sampled_from(["", " ", "\t", "#", " # c", '#"x', "\r", " x"])
+# Characters that `str.splitlines` takes as line breaks and `str.split("\n")`
+# does not; in an OFT file they are characters of their line.
+_LINE_BREAK_LOOKALIKES = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"] * 2
 
 
 @st.composite
@@ -408,27 +420,36 @@ def _statement_lines(draw):
         line += draw(_BLANKS) + word
     line += draw(_TRAILERS)
     # Now and then, one more piece anywhere in the line.
-    piece = draw(st.sampled_from([""] * 40 + bruteforce.SCAN_FRAGMENTS))
+    piece = draw(st.sampled_from([""] * 40 + bruteforce.SCAN_FRAGMENTS + _LINE_BREAK_LOOKALIKES))
     at = draw(st.integers(0, len(line)))
     return line[:at] + piece + line[at:]
 
 
-_MIXED_SOURCES = st.lists(
-    st.one_of(
-        _statement_lines(),
-        _statement_lines(),
-        _statement_lines(),
-        st.builds(str.__add__, st.sampled_from(_STATEMENT_HEADS), _LINES),
-    ),
-    max_size=8,
-).map("\n".join)
+_MIXED_LINES = st.one_of(
+    _statement_lines(),
+    _statement_lines(),
+    _statement_lines(),
+    st.builds(str.__add__, st.sampled_from(_STATEMENT_HEADS), _LINES),
+)
+
+
+@st.composite
+def _mixed_sources(draw):
+    """Lines each ended by LF or CRLF, except the last, which may also end
+    with a lone CR or with no line break."""
+    lines = draw(st.lists(_MIXED_LINES, max_size=8))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if ends:
+        ends[-1] = draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    return "".join(map(str.__add__, lines, ends))
 
 
 @settings(max_examples=1000, deadline=None)
-@given(_MIXED_SOURCES)
+@given(_mixed_sources())
 def test_statement_pattern_matches_token_path(source):
-    """The statement pattern is only a faster way to the token path's result:
-    the same header, axioms (class, fields, file and line) and diagnostics."""
+    """The one-scan statement pattern is only a faster way to the token
+    path's result on lines split apart on their own: the same header,
+    axioms (class, fields, file and line) and diagnostics."""
     result = parse_oft(source, "f.oft")
     name, axioms, diagnostics = token_path_parse(source, "f.oft")
     assert result.ontology_name == name

@@ -190,3 +190,56 @@ class TestOracle:
             "E_DOMAIN",
             "E_RANGE",
         }, seen
+
+
+def findings(extra: str):
+    """(code, line, message) of each finding on BASE + extra, once the
+    oracle has found the same (code, file, line)s."""
+    result = parse_oft(BASE + extra, "v.oft")
+    assert result.diagnostics == [], result.diagnostics
+    onto, diags = build_ontology("v", result.axioms)
+    assert onto is not None, diags
+    closure, _ = compute_closure(onto)
+    report = validate(onto, closure, realize(onto, closure))
+    got = sorted((d.code, d.file, d.line) for d in report.diagnostics)
+    assert got == sorted(bruteforce.oracle_validate(onto))
+    return [(d.code, d.line, d.message) for d in report.diagnostics]
+
+
+class TestPropertyGroups:
+    """The validator tests each property's assertions as a group and walks
+    them only to place findings."""
+
+    def test_sound_values_with_a_repeated_subject(self):
+        extra = "attr item1 grade 1\nrel item1 linked_to item2\nattr item1 grade 2\nattr item1 grade 1\n"
+        message = "item1 has more than one value for single-cardinality grade"
+        assert findings(extra) == [("E_CARD_SINGLE", 11, message), ("E_CARD_SINGLE", 12, message)]
+
+    def test_fault_in_the_last_assertion_of_a_group(self):
+        extra = (
+            "class Other\nindividual other type Other\n"
+            'attr item1 tag "a"\nattr item2 tag "b"\nattr item1 tag 5\n'
+            "rel item1 linked_to item2\nrel item1 linked_to item1\nrel item2 linked_to other\n"
+        )
+        assert findings(extra) == [
+            ("E_TYPE_MISMATCH", 13, "value '5' of tag is not a string"),
+            ("E_DOMAIN", 16, "item2 is outside the domain Stock of linked_to"),
+            ("E_RANGE", 16, "other is outside the range Fruit of linked_to"),
+        ]
+
+    def test_multiple_cardinality_property_without_assertions(self):
+        extra = "dataprop label domain Stock type string card multiple\nindividual item3 type Stock\n"
+        assert findings(extra) == [
+            ("E_CARD_MULTIPLE", 7, "item1 has no value for multiple-cardinality label"),
+            ("E_CARD_MULTIPLE", 10, "item3 has no value for multiple-cardinality label"),
+        ]
+
+    def test_equal_values_keep_their_own_lexical_forms(self):
+        extra = (
+            "dataprop p domain Stock type number allowed 2, 3 card multiple\n"
+            "attr item1 p 1\nattr item1 p 1.0\n"
+        )
+        assert findings(extra) == [
+            ("E_ALLOWED_VALUE", 10, "value '1' of p is outside the allowed set"),
+            ("E_ALLOWED_VALUE", 11, "value '1.0' of p is outside the allowed set"),
+        ]
