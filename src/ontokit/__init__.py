@@ -30,13 +30,7 @@ from .model import (
     canonical_axioms,
 )
 from .oft import ParseResult, load_sources, parse_oft, serialize_oft
-from .reasoner import (
-    Realization,
-    TaxonomyClosure,
-    applicable_properties,
-    compute_closure,
-    realize,
-)
+from .reasoner import Realization, TaxonomyClosure, compute_closure, realize
 from .validator import ValidationReport, validate
 from .dlquery import (
     And,

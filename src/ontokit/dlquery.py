@@ -275,7 +275,7 @@ def eval_query(
     # Both closure relations are strict, so the intersection never holds a
     # query class itself.
     upward = mode in (QueryMode.SUPERCLASSES, QueryMode.DIRECT_SUPERCLASSES)
-    along, across = (c.ancestors, c.descendants) if upward else (c.descendants, c.ancestors)
+    along = c.ancestors if upward else c.descendants
     conjuncts = expr.named_conjuncts()
     result = reduce(and_, (along.masks[name] for name in conjuncts))
     if mode is QueryMode.SUBCLASSES or mode is QueryMode.SUPERCLASSES:
@@ -284,7 +284,7 @@ def eval_query(
         return []
     step = c.direct_parents if upward else c.direct_children
     start = min(conjuncts, key=lambda name: along.masks[name].bit_count())
-    position, beyond = c.position, across.masks
+    position, beyond = c.position, (c.descendants if upward else c.ancestors).masks
     found = []
     seen: set[str] = set()
     stack = list(step[start])

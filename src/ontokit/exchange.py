@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,14 +44,29 @@ def _reduced_parents(closure: TaxonomyClosure) -> dict[str, frozenset[str]]:
 
     A direct parent is redundant exactly when another direct parent lies
     below it, i.e. when its bit is in the union of the parents' ancestors.
+    One pass over `closure.order`, parents first, ORs each class's ancestor
+    mask from its parents' and answers the class at once; a mask is dropped
+    once the last child of its class has read it, so only the masks of the
+    order's frontier are alive, never the whole closure (Aho, Garey and
+    Ullman, SIAM J. Comput. 1(2), 1972).
     """
-    anc, position = closure.ancestors.masks, closure.position
+    direct, position = closure.direct_parents, closure.position
+    unread = Counter(p for parents in direct.values() for p in parents)
+    ancestors: dict[str, int] = {}
     reduced: dict[str, frozenset[str]] = {}
-    for cls, parents in closure.direct_parents.items():
+    for cls in closure.order:
+        parents = direct[cls]
         covered = 0
         for p in parents:
-            covered |= anc[p]
+            covered |= ancestors[p]
         reduced[cls] = frozenset(p for p in parents if not covered >> position[p] & 1)
+        for p in parents:
+            covered |= 1 << position[p]
+            unread[p] -= 1
+            if not unread[p]:
+                del ancestors[p]
+        if unread[cls]:
+            ancestors[cls] = covered
     return reduced
 
 

@@ -345,13 +345,15 @@ class _Reader:
             lit = self.literals[value_type, lexical] = Literal(value_type, lexical)
         return lit
 
-    def class_line(self, cls: str, parents: list[str], ln: int) -> None:
-        """A `class` line of the token path declares its class once per file,
-        as `read` does inline for the lines `_LINE` matches."""
+    def class_line(self, cls: str, parents: Iterable[str], ln: int) -> None:
+        """A `class` line, matched by `_LINE` or read by the token path,
+        declares its class once per file and subclasses it of each parent."""
+        append, file = self.axioms.append, self.file
         if cls not in self.declared_classes:
             self.declared_classes.add(cls)
-            self.axioms.append(ClassDecl(cls, file=self.file, line=ln))
-        self.axioms.extend(SubClassOf(cls, p, file=self.file, line=ln) for p in parents)
+            append(ClassDecl(cls, file=file, line=ln))
+        for parent in parents:
+            append(SubClassOf(cls, parent, file=file, line=ln))
 
     def read(self, source: str) -> None:
         """Add the axioms of every line of `source`, read in one scan by
@@ -384,12 +386,9 @@ class _Reader:
                 append(IndividualDecl(m["name"], types, file=file, line=ln))
             elif head == "class":
                 cls, parents = m.group("cls", "parents")
-                if cls not in self.declared_classes:
-                    self.declared_classes.add(cls)
-                    append(ClassDecl(cls, file=file, line=ln))
-                if parents is not None:
-                    for parent in _SPLIT_NAMES(parents) if "," in parents else (parents,):
-                        append(SubClassOf(cls, parent, file=file, line=ln))
+                if parents is not None:  # the split costs more than the test
+                    parents = _SPLIT_NAMES(parents) if "," in parents else (parents,)
+                self.class_line(cls, parents or (), ln)
             elif head == "other":
                 self.token_line(m[head], ln)
 

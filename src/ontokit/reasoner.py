@@ -1,16 +1,15 @@
 """Structural inference over the class taxonomy.
 
-Computes the reflexive-transitive subsumption closure, realizes individuals
-into every class they belong to, and resolves which properties apply to a
-class through domain inheritance. No constructor-level reasoning happens
-here; the taxonomy must be a DAG and cycles are hard errors.
+Computes the reflexive-transitive subsumption closure and realizes
+individuals into every class they belong to. No constructor-level reasoning
+happens here; the taxonomy must be a DAG and cycles are hard errors.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import compress
 from typing import Optional
 
@@ -69,49 +68,41 @@ class MaskView(Mapping[str, frozenset[str]]):
         return len(self._keys)
 
 
-class _WholeMasks(dict):
-    """Masks that `fill` computes all at once, on the first read of an
-    entry that `keys` names; reading a name outside `keys` raises KeyError."""
+class _Walks(dict):
+    """A view's masks, one key at a time: a missing key's mask is one walk
+    from `start(key)` along `step`, and `positions` gives the bits of the
+    nodes it reached. The walk does not go past a node whose mask `memo`
+    (by default, this dict) holds already; it ORs that mask in. Only the key
+    read is memoized: memoizing every node a walk passes would compute the
+    whole view."""
 
-    def __init__(self, keys: Collection[str], fill: Callable[[], dict[str, int]]):
+    def __init__(
+        self,
+        start: Callable[[str], Iterable[str]],
+        step: Mapping[str, Iterable[str]],
+        positions: Callable[[set[str]], list[int]],
+        memo: Optional[dict[str, int]] = None,
+    ):
         super().__init__()
-        self._keys = keys
-        self.fill = fill
+        # `None` stands for this dict: holding itself would make a cycle.
+        self.start, self.step, self.positions, self.memo = start, step, positions, memo
 
     def __missing__(self, key: str) -> int:
-        if self or key not in self._keys:
-            raise KeyError(key)
-        self.update(self.fill())
-        return self[key]
-
-
-class _MemberMasks(dict):
-    """`Realization.members_of`'s masks, one class at a time: a missing
-    class's mask is one walk down `direct_children` that collects the
-    positions of the individuals asserted in each class it reaches. Only
-    that class is memoized; memoizing every class a walk passes would
-    rebuild the whole realization."""
-
-    def __init__(self, closure: TaxonomyClosure, asserted: dict[str, list[int]]):
-        super().__init__()
-        self.closure = closure
-        self.asserted = asserted
-
-    def __missing__(self, cls: str) -> int:
-        if cls not in self.closure.position:
-            raise KeyError(cls)
-        children, asserted = self.closure.direct_children, self.asserted
-        found: list[int] = []
-        seen = {cls}
-        stack = [cls]
+        step, memo = self.step, self if self.memo is None else self.memo
+        mask = 0
+        seen = set(self.start(key))
+        stack = list(seen)
         while stack:
             node = stack.pop()
-            found += asserted.get(node, ())
-            for child in children[node]:
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        mask = self[cls] = _mask(found)
+            done = memo.get(node)
+            if done is not None:
+                mask |= done
+                continue
+            for nxt in step[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        mask = self[key] = mask | _mask(self.positions(seen))
         return mask
 
 
@@ -139,28 +130,39 @@ class TaxonomyClosure:
     over `order`, the classes in a topological order with parents first;
     `position` is each class's bit.
 
-    `compute_closure` fills `order`, `position` and `direct_parents`. Each
-    closure view computes all of its masks, in one pass over `order`, the
-    first time any of them is read, so a command that reads neither (such
-    as `check`) pays for neither.
+    `compute_closure` fills `order`, `position` and `direct_parents`. A
+    closure view's entry is one walk from its class, up `direct_parents` or
+    down `direct_children`, on its first read (see `_Walks`), so a command
+    computes only the entries it reads.
     """
 
     order: tuple[str, ...]
     position: dict[str, int]
-    ancestors: MaskView
-    descendants: MaskView
     direct_parents: dict[str, frozenset[str]]
 
     @cached_property
     def direct_children(self) -> dict[str, list[str]]:
         """Each class's direct subclasses, built on first read: only the
-        direct-subclasses query mode and `members_of` walk down the
-        taxonomy, so computing the closure does not pay for it."""
+        descending views and queries walk down the taxonomy, so computing
+        the closure does not pay for it."""
         children: dict[str, list[str]] = {name: [] for name in self.order}
         for name, parents in self.direct_parents.items():
             for p in parents:
                 children[p].append(name)
         return children
+
+    @cached_property
+    def ancestors(self) -> MaskView:
+        return self._view(self.direct_parents)
+
+    @cached_property
+    def descendants(self) -> MaskView:
+        return self._view(self.direct_children)
+
+    def _view(self, step: Mapping[str, Iterable[str]]) -> MaskView:
+        position = self.position
+        walks = _Walks(step.__getitem__, step, lambda seen: list(map(position.__getitem__, seen)))
+        return MaskView(walks, self.order, position)
 
 
 @dataclass(frozen=True)
@@ -173,10 +175,10 @@ class Realization:
     `Ontology.assertion_index` over the same universe, and decode only
     their answer.
 
-    Both views compute on first read: `members_of` one class at a time
-    (see `_MemberMasks`), so `check` computes only its domain and range
-    classes and a query only the classes it names; `types_of` every
-    individual's mask, from the whole `ancestors` view, at once.
+    Both views compute one entry per read (see `_Walks`): `members_of[c]`
+    walks down from `c` and collects the individuals asserted on the way,
+    so `check` computes only its domain and range classes and a query only
+    the classes it names; `types_of[i]` walks up from `i`'s asserted types.
     """
 
     members_of: MaskView
@@ -265,44 +267,7 @@ def compute_closure(o: Ontology) -> tuple[Optional[TaxonomyClosure], list[Diagno
     # Without cycles Tarjan emits every class after its parents.
     order = tuple(c[0] for c in components)
     position = {name: i for i, name in enumerate(order)}
-    edges = (order, position, parents)
-    closure = TaxonomyClosure(
-        order=order,
-        position=position,
-        ancestors=_whole_view(position, order, partial(_ancestor_masks, *edges)),
-        descendants=_whole_view(position, order, partial(_descendant_masks, *edges)),
-        direct_parents=parents,
-    )
-    return closure, []
-
-
-def _whole_view(
-    keys: Collection[str], universe: Sequence[str], fill: Callable[[], dict[str, int]]
-) -> MaskView:
-    return MaskView(_WholeMasks(keys, fill), universe, keys)
-
-
-def _ancestor_masks(
-    order: Sequence[str], position: dict[str, int], parents: Mapping[str, frozenset[str]]
-) -> dict[str, int]:
-    ancestors: dict[str, int] = {}
-    for node in order:
-        acc = 0
-        for p in parents[node]:
-            acc |= ancestors[p] | 1 << position[p]
-        ancestors[node] = acc
-    return ancestors
-
-
-def _descendant_masks(
-    order: Sequence[str], position: dict[str, int], parents: Mapping[str, frozenset[str]]
-) -> dict[str, int]:
-    descendants = dict.fromkeys(order, 0)
-    for node in reversed(order):
-        below = descendants[node] | 1 << position[node]
-        for p in parents[node]:
-            descendants[p] |= below
-    return descendants
+    return TaxonomyClosure(order=order, position=position, direct_parents=parents), []
 
 
 def realize(o: Ontology, closure: TaxonomyClosure) -> Realization:
@@ -319,37 +284,18 @@ def realize(o: Ontology, closure: TaxonomyClosure) -> Realization:
     for ax in o._all(IndividualDecl):
         for t in ax.types:
             asserted.setdefault(t, []).append(position[ax.name])
-    return Realization(
-        members_of=MaskView(_MemberMasks(closure, asserted), individuals, closure.position),
-        types_of=_whole_view(
-            dict.fromkeys(individuals), closure.order, partial(_type_masks, o, closure)
-        ),
+    # A name that is no class fails at its walk's first step.
+    members = _Walks(
+        lambda c: (c,),
+        closure.direct_children,
+        lambda nodes: [i for n in nodes for i in asserted.get(n, ())],
     )
-
-
-def _type_masks(o: Ontology, closure: TaxonomyClosure) -> dict[str, int]:
-    anc, position = closure.ancestors.masks, closure.position
-    types_of: dict[str, int] = {}
-    for ind in o.individual_order:
-        acc = 0
-        for t in o.asserted_types.get(ind, ()):
-            acc |= anc[t] | 1 << position[t]
-        types_of[ind] = acc
-    return types_of
-
-
-def applicable_properties(
-    o: Ontology, closure: TaxonomyClosure, cls: str
-) -> set[str]:
-    """Properties usable on a class: domain is the class itself, one of its
-    ancestors, or unspecified (unspecified means applicable everywhere).
-    """
-    if cls != THING and cls not in o.classes:
-        raise ValueError(f"unknown class: {cls}")
-    scope = {cls} | closure.ancestors[cls]
-    applicable: set[str] = set()
-    for prop in o.object_properties | o.data_properties:
-        domain = o.domains.get(prop)
-        if domain is None or domain in scope:
-            applicable.add(prop)
-    return applicable
+    # A type walk stops at a class whose ancestors were read already.
+    ancestors = closure.ancestors.masks
+    types = _Walks(
+        lambda i: o.asserted_types[i], closure.direct_parents, ancestors.positions, ancestors
+    )
+    return Realization(
+        members_of=MaskView(members, individuals, closure.position),
+        types_of=MaskView(types, closure.order, position),
+    )

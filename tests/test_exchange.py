@@ -6,6 +6,8 @@ import csv
 import dataclasses
 import io
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,30 @@ def parse_built(source, name="t"):
     result = parse_oft(source, f"{name}.oft")
     assert result.diagnostics == [], result.diagnostics
     return built(result.axioms, name)
+
+
+def tagged_chain(n):
+    """`C(i) sub C(i-1), A(i)`, each `A(i)` a root whose name sorts first, so
+    the topological order puts every `A` before the whole chain."""
+    lines = [f"class A{i:04d}" for i in range(n)] + ["class C0000"]
+    lines += [f"class C{i:04d} sub C{i - 1:04d}, A{i:04d}" for i in range(1, n)]
+    return "\n".join(lines) + "\n"
+
+
+def deep_text(n):
+    """The benchmark's deep shape (`perfbench/gen.deep_text`): class i has one
+    or two parents among the five classes before it, drawn with seed 7."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import gen
+
+    rng = random.Random(7)
+    parents = [[]]
+    for i in range(1, n):
+        lo = max(0, i - 5)
+        parents.append(sorted(rng.sample(range(lo, i), rng.randint(1, min(2, i - lo)))))
+    return gen.deep_text(rng, parents, "deep")[0]
 
 
 def identities(onto):
@@ -122,6 +148,8 @@ class TestExportDot:
             parse_built("class A\nclass B\nclass C sub Thing, B\n").axioms,
             parse_built("class A\nclass B sub A\nclass C sub A\nclass D sub B, C, A\n").axioms,
             bruteforce.deep_taxonomy_axioms(rng, 60, window=3),
+            parse_built(tagged_chain(300)).axioms,
+            parse_built(deep_text(2000)).axioms,
         ]
         cases += [
             bruteforce.random_taxonomy_axioms(rng, rng.randint(3, 40), redundant=rng.randint(1, 6))

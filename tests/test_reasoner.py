@@ -1,4 +1,4 @@
-"""Subsumption closure, realization, and property inheritance."""
+"""Subsumption closure and realization."""
 
 from __future__ import annotations
 
@@ -11,12 +11,11 @@ from ontokit.dlquery import Named
 from ontokit.model import (
     ClassDecl,
     IndividualDecl,
-    ObjPropDecl,
     SubClassOf,
     THING,
     build_ontology,
 )
-from ontokit.reasoner import MaskView, applicable_properties, compute_closure, realize
+from ontokit.reasoner import MaskView, compute_closure, realize
 
 
 def closure_of(axioms):
@@ -128,7 +127,7 @@ class TestMaskView:
 
 class TestLazyViews:
     """The views compute on first read: `in`, `len` and iteration compute
-    nothing, `members_of` memoizes only the classes read, and entries read
+    nothing, each view memoizes only the entries read, and entries read
     partially and in any order equal the oracles'."""
 
     @staticmethod
@@ -175,8 +174,9 @@ class TestLazyViews:
                 else:
                     expected = bruteforce.walk_types(onto, key)
                 assert got == expected, (draw, name, key)
-            read_members = {key for name, key in reads if name == "members_of"}
-            assert self.computed(realization.members_of) == read_members, draw
+            for name, view in views.items():
+                read = {key for view_name, key in reads if view_name == name}
+                assert self.computed(view) == read, (draw, name)
 
     def test_long_chain_reads_without_recursion(self):
         n = 5000
@@ -305,28 +305,3 @@ class TestRealization:
                         for t in onto.asserted_types[ind]
                     )
                     assert (ind in members) == expected
-
-
-class TestApplicableProperties:
-    def test_domain_property_inherited_by_descendants(self, corpus, corpus_closure):
-        assert "has_features" in applicable_properties(corpus, corpus_closure, "Kimri")
-        assert "has_features" in applicable_properties(corpus, corpus_closure, "Dates")
-        assert "has_features" not in applicable_properties(
-            corpus, corpus_closure, "Species"
-        )
-
-    def test_domainless_property_applies_everywhere(self):
-        onto, closure = closure_of([ClassDecl("A"), ObjPropDecl("p")])
-        assert "p" in applicable_properties(onto, closure, "A")
-        assert "p" in applicable_properties(onto, closure, THING)
-
-    def test_unknown_class_raises(self, corpus, corpus_closure):
-        with pytest.raises(ValueError):
-            applicable_properties(corpus, corpus_closure, "Nope")
-
-    def test_monotone_inheritance_exhaustive(self, corpus, corpus_closure):
-        names = sorted(corpus.classes | {THING})
-        props = {c: applicable_properties(corpus, corpus_closure, c) for c in names}
-        for child in names:
-            for parent in corpus_closure.ancestors[child]:
-                assert props[child] >= props[parent]
