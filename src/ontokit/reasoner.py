@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import Optional
 
 from .model import (
@@ -31,19 +31,17 @@ class MaskView(Mapping[str, frozenset[str]]):
     """Read-only map from a name to a set of names stored as int bitmasks.
 
     Bit i of a mask stands for `universe[i]`. `keys` holds the names the view
-    maps (by default, those of `masks`): `in`, `len` and iteration answer
-    from it and compute no mask. `masks` holds the raw ints for bitwise
-    callers; the reasoner's views compute them on first read (a `dict`
-    subclass whose `__missing__` computes, so a hit is a plain lookup). A
-    set is decoded on its first access and cached.
+    maps: `in`, `len` and iteration answer from it and compute no mask.
+    `masks` holds the raw ints for bitwise callers; the reasoner's views
+    compute them on first read (a `dict` subclass whose `__missing__`
+    computes, so a hit is a plain lookup). A set is decoded on its first
+    access and cached.
     """
 
-    def __init__(
-        self, masks: dict[str, int], universe: Sequence[str], keys: Optional[Collection[str]] = None
-    ):
+    def __init__(self, masks: dict[str, int], universe: Sequence[str], keys: Collection[str]):
         self.masks = masks
         self.universe = universe
-        self._keys = masks if keys is None else keys
+        self._keys = keys
         self._decoded: dict[str, frozenset[str]] = {}
 
     def names(self, mask: int) -> Iterator[str]:
@@ -185,89 +183,64 @@ class Realization:
     types_of: MaskView
 
 
-def _strongly_connected(
-    nodes: Iterable[str], successors: Callable[[str], list[str]]
-) -> list[list[str]]:
-    """Iterative Tarjan; returns components in discovery order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    components: list[list[str]] = []
-    counter = 0
-
-    for root in nodes:
-        if root in index:
+def _post_orders(
+    roots: Iterable[str], step: Callable[[str], Iterable[str]]
+) -> Iterator[list[str]]:
+    """One depth-first walk along `step` from each root not reached yet,
+    yielding the walk's nodes in post-order: a node after every node first
+    reached from it. Iterative, so a deep taxonomy meets no recursion limit."""
+    seen: set[str] = set()
+    for root in roots:
+        if root in seen:
             continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        work: list[tuple[str, list[str], int]] = [(root, successors(root), 0)]
-        while work:
-            node, succ, i = work[-1]
-            pushed = False
-            while i < len(succ):
-                child = succ[i]
-                i += 1
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work[-1] = (node, succ, i)
-                    work.append((child, successors(child), 0))
-                    pushed = True
+        seen.add(root)
+        walk: list[str] = []
+        stack = [(root, iter(step(root)))]
+        while stack:
+            node, nexts = stack[-1]
+            for nxt in nexts:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(step(nxt))))
                     break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
+            else:
+                stack.pop()
+                walk.append(node)
+        yield walk
 
 
 def compute_closure(o: Ontology) -> tuple[Optional[TaxonomyClosure], list[Diagnostic]]:
     """Close the subclass relation over direct edges (implicit root included).
 
-    If any subclass cycle exists, returns one E_CYCLE diagnostic per cycle,
-    naming every class on it, and no closure.
+    `order` is the post-order of a depth-first walk up the sorted parents
+    from each class in sorted order, so every class comes after its parents
+    unless a cycle exists. An edge whose parent comes after its child shows
+    one; then a second walk, down the children from each class in reverse
+    `order`, reaches exactly one strongly connected component from each
+    fresh root (Kosaraju). Returns one E_CYCLE diagnostic per cycle, naming
+    every class on it, and no closure.
     """
     parents: dict[str, frozenset[str]] = dict(o.direct_parents)
     parents[THING] = frozenset()
-    nodes = sorted(parents)
-
-    components = _strongly_connected(nodes, lambda n: sorted(parents[n]))
-    cycles = sorted(sorted(c) for c in components if len(c) > 1)
-    if cycles:
-        # One pass over the edges finds each cycle's earliest internal edge.
-        cycle_of = {name: i for i, cycle in enumerate(cycles) for name in cycle}
-        anchors: dict[int, tuple[str, int]] = {}
-        for ax in o._all(SubClassOf):
-            i = cycle_of.get(ax.child)
-            if i is not None and cycle_of.get(ax.parent) == i:
-                anchors[i] = min(anchors.get(i, (ax.file, ax.line)), (ax.file, ax.line))
-        return None, [
-            error(E_CYCLE, "classes form a subclass cycle: " + ", ".join(cycle), *anchors[i])
-            for i, cycle in enumerate(cycles)
-        ]
-
-    # Without cycles Tarjan emits every class after its parents.
-    order = tuple(c[0] for c in components)
+    order = tuple(chain.from_iterable(_post_orders(sorted(parents), lambda n: sorted(parents[n]))))
     position = {name: i for i, name in enumerate(order)}
-    return TaxonomyClosure(order=order, position=position, direct_parents=parents), []
+    closure = TaxonomyClosure(order=order, position=position, direct_parents=parents)
+    if all(position[p] < i for i, name in enumerate(order) for p in parents[name]):
+        return closure, []
+
+    components = _post_orders(reversed(order), closure.direct_children.__getitem__)
+    cycles = sorted(sorted(c) for c in components if len(c) > 1)
+    # One pass over the edges finds each cycle's earliest internal edge.
+    cycle_of = {name: i for i, cycle in enumerate(cycles) for name in cycle}
+    anchors: dict[int, tuple[str, int]] = {}
+    for ax in o._all(SubClassOf):
+        i = cycle_of.get(ax.child)
+        if i is not None and cycle_of.get(ax.parent) == i:
+            anchors[i] = min(anchors.get(i, (ax.file, ax.line)), (ax.file, ax.line))
+    return None, [
+        error(E_CYCLE, "classes form a subclass cycle: " + ", ".join(cycle), *anchors[i])
+        for i, cycle in enumerate(cycles)
+    ]
 
 
 def realize(o: Ontology, closure: TaxonomyClosure) -> Realization:

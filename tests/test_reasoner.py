@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -24,6 +25,13 @@ def closure_of(axioms):
     closure, cdiags = compute_closure(onto)
     assert closure is not None, cdiags
     return onto, closure
+
+
+def parents_first(closure) -> bool:
+    """Every class comes after each of its direct parents in `order`, which
+    the inferred DOT's reduction and the cycle check rely on."""
+    position = {name: i for i, name in enumerate(closure.order)}
+    return all(position[p] < position[c] for c, ps in closure.direct_parents.items() for p in ps)
 
 
 class TestClosure:
@@ -64,6 +72,7 @@ class TestClosure:
             onto, closure = closure_of(bruteforce.random_taxonomy_axioms(rng, n))
             oracle = bruteforce.warshall_reachability(onto.direct_parents)
             assert {c: set(a) for c, a in closure.ancestors.items()} == oracle
+            assert parents_first(closure)
 
     def test_deterministic(self, corpus):
         first, _ = compute_closure(corpus)
@@ -88,6 +97,7 @@ class TestDeepTaxonomy:
         onto, closure, _ = deep
         oracle = bruteforce.warshall_reachability(onto.direct_parents)
         assert {c: set(a) for c, a in closure.ancestors.items()} == oracle
+        assert parents_first(closure)
         inverse: dict[str, set[str]] = {c: set() for c in oracle}
         for c, ancestors in oracle.items():
             for a in ancestors:
@@ -118,7 +128,7 @@ class TestMaskView:
     def test_negative_mask_rejected(self):
         """`f"{-1:b}"` is "-1", which would decode as the first two members;
         an intersection folded from -1 with no part would hide that way."""
-        view = MaskView({}, ["a", "b", "c"])
+        view = MaskView({}, ["a", "b", "c"], {})
         assert list(view.names(0b101)) == ["a", "c"]
         for mask in (-1, -2, -(1 << 70)):
             with pytest.raises(ValueError, match="never negative"):
@@ -240,13 +250,14 @@ class TestCycles:
         edges spread over two files in shuffled line order."""
         rng = random.Random(31)
         counts = []
-        for _ in range(80):
+        shapes = set()
+        for density, _ in product((1.2, 3.0), range(80)):
             names = [f"C{i}" for i in range(rng.randint(2, 20))]
             edges = [
                 (a, b)
                 for a in names
                 for b in names
-                if a != b and rng.random() < 1.2 / len(names)
+                if a != b and rng.random() < density / len(names)
             ]
             edges += rng.sample(edges, len(edges) // 4)  # repeated edges
             lines = rng.sample(range(1, 2 * len(edges) + 1), len(edges))
@@ -263,8 +274,38 @@ class TestCycles:
                 ("E_CYCLE", *found) for found in expected
             ]
             counts.append(len(expected))
-        # Graphs without a cycle, with one, and with several all occur.
+            cycles = [message.split(": ")[1].split(", ") for message, _, _ in expected]
+            reach = bruteforce.warshall_reachability(onto.direct_parents)
+            if any(len(cycle) >= 3 for cycle in cycles):
+                shapes.add("3 or more classes")
+            if any(a is not b and b[0] in reach[a[0]] for a in cycles for b in cycles):
+                shapes.add("a cycle below another")
+        # Graphs without a cycle, with one, and with several all occur, and
+        # so do the shapes a second walk in the wrong order would merge.
         assert {0, 1} < set(counts)
+        assert shapes == {"3 or more classes", "a cycle below another"}
+
+    def test_ring_of_20000_classes_without_recursion(self):
+        """A ring far deeper than the recursion limit, with a tail below each
+        of its classes and a separate two-class cycle: each cycle is named
+        once, in sorted order and at its earliest edge, and no tail is."""
+        n = 20000
+        ring = [f"R{i}" for i in range(n)]
+        axioms = [ClassDecl(c) for c in [*ring, "X", "Y"]]
+        axioms += [ClassDecl(f"T{i}") for i in range(n)]
+        for i in range(n):
+            axioms.append(SubClassOf(ring[i], ring[(i + 1) % n], file="r.oft", line=n - i))
+            axioms.append(SubClassOf(f"T{i}", ring[i], file="t.oft", line=i + 1))
+        axioms += [SubClassOf("X", "Y", file="a.oft", line=9)]
+        axioms += [SubClassOf("Y", "X", file="b.oft", line=1)]
+        onto, diags = build_ontology("t", axioms)
+        assert onto is not None, diags
+        closure, diags = compute_closure(onto)
+        assert closure is None
+        assert [(d.code, d.message, d.file, d.line) for d in diags] == [
+            ("E_CYCLE", "classes form a subclass cycle: " + ", ".join(sorted(ring)), "r.oft", 1),
+            ("E_CYCLE", "classes form a subclass cycle: X, Y", "a.oft", 9),
+        ]
 
 
 class TestRealization:
