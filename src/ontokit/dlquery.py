@@ -71,7 +71,7 @@ class Named(_Expr):
     def check_names(self, o: Ontology) -> None:
         _need(o, self.name, Kind.CLASS)
 
-    def extension(self, o: Ontology, r: Realization) -> int:
+    def extension(self, r: Realization) -> int:
         return r.members_of.masks[self.name]
 
     def named_conjuncts(self) -> list[str]:
@@ -90,8 +90,8 @@ class And(_Expr):
         for p in self.parts:
             p.check_names(o)
 
-    def extension(self, o: Ontology, r: Realization) -> int:
-        return reduce(and_, (p.extension(o, r) for p in self.parts))
+    def extension(self, r: Realization) -> int:
+        return reduce(and_, (p.extension(r) for p in self.parts))
 
     def named_conjuncts(self) -> list[str]:
         return [name for p in self.parts for name in p.named_conjuncts()]
@@ -112,11 +112,11 @@ class Some(_Expr):
         _need(o, self.prop, Kind.OBJECT_PROPERTY)
         self.filler.check_names(o)
 
-    def extension(self, o: Ontology, r: Realization) -> int:
+    def extension(self, r: Realization) -> int:
         """The OR of the subject masks of the filler's members, each looked
         up as an object of the property."""
-        targets = o.assertion_index[self.prop]
-        members = r.members_of.names(self.filler.extension(o, r))
+        targets = r.assertion_index[self.prop]
+        members = r.members_of.names(self.filler.extension(r))
         return reduce(or_, filter(None, map(targets.get, members)), 0)
 
 
@@ -132,8 +132,8 @@ class ValueObj(_Expr):
         _need(o, self.prop, Kind.OBJECT_PROPERTY)
         _need(o, self.individual, Kind.INDIVIDUAL)
 
-    def extension(self, o: Ontology, r: Realization) -> int:
-        return o.assertion_index[self.prop].get(self.individual, 0)
+    def extension(self, r: Realization) -> int:
+        return r.assertion_index[self.prop].get(self.individual, 0)
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,8 @@ class ValueData(_Expr):
     def check_names(self, o: Ontology) -> None:
         _need(o, self.prop, Kind.DATA_PROPERTY)
 
-    def extension(self, o: Ontology, r: Realization) -> int:
-        return o.assertion_index[self.prop].get(self.value, 0)
+    def extension(self, r: Realization) -> int:
+        return r.assertion_index[self.prop].get(self.value, 0)
 
 
 ClassExpr = Union[Named, And, Some, ValueObj, ValueData]
@@ -253,9 +253,9 @@ def eval_query(
 ) -> list[str]:
     """Evaluate an expression in the given result mode; results are sorted.
 
-    An instance query computes one mask over `r.members_of.universe`, the
-    sorted individuals, and decodes it once, so its answer comes out in
-    bit order, which is sorted order. A taxonomy query intersects the
+    An instance query reads only `r`: one mask over `r.members_of.universe`,
+    the sorted individuals, decoded once, so its answer comes out in bit
+    order, which is sorted order. A taxonomy query intersects the
     closure masks of its named classes into a result mask R. The plain
     modes decode R. A direct mode keeps only the members of R closest to
     the query class (no other member of R lies between them and it), and
@@ -270,7 +270,7 @@ def eval_query(
     """
     expr.check_names(o)
     if mode is QueryMode.INSTANCES:
-        return list(r.members_of.names(expr.extension(o, r)))
+        return list(r.members_of.names(expr.extension(r)))
 
     # Both closure relations are strict, so the intersection never holds a
     # query class itself.

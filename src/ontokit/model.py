@@ -161,20 +161,23 @@ class Literal:
 
     Numbers carry their exact decimal lexical form and compare numerically
     ("1.0" equals "1"); every other type compares by exact lexical match.
-    Computed once, at construction: the comparison key, the canonical
-    order `"<value type> <lexical>"` and the written form (None for the
-    types that have none).
+    A value's type is never `literal` or `enum`: those only constrain a
+    facet, and a value of them would have no written form. Computed once,
+    at construction: the comparison key, the canonical order
+    `"<value type> <lexical>"` and the written form.
     """
 
     value_type: ValueType
     lexical: str
     _key: tuple = field(init=False, repr=False)
     _order: str = field(init=False, repr=False)
-    _text: Optional[str] = field(init=False, repr=False)
+    _text: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         vt, lex = self.value_type, self.lexical
-        text: Optional[str] = lex
+        text = lex
+        if vt in (ValueType.ANY, ValueType.ENUM):
+            raise ValueError(f"{vt.value} is a facet type, not a value type")
         if vt is ValueType.NUMBER:
             number = parse_number(lex)
             if number is None:
@@ -187,8 +190,6 @@ class Literal:
                 raise ValueError(f"not an ISO-8601 date or date-time: {lex!r}")
             if vt is ValueType.STRING:
                 text = '"' + lex.replace("\\", "\\\\").replace('"', '\\"') + '"'
-            elif vt in (ValueType.ANY, ValueType.ENUM):
-                text = None
             key = (vt.value, lex)
         if "\n" in lex or "\r" in lex:
             raise ValueError("literal may not contain line breaks")
@@ -202,8 +203,6 @@ class Literal:
 
     def to_oft(self) -> str:
         """The literal as written in OFT and query text."""
-        if self._text is None:
-            raise ValueError(f"{self.value_type.value} literals have no written form")
         return self._text
 
     def __eq__(self, other: object) -> bool:
@@ -305,17 +304,17 @@ class Axiom:
     tag: ClassVar[int]  # the variant's place in the canonical order
     #: Location-free identity within the variant: duplicates and merging.
     key: ClassVar[Callable[[Any], Hashable]]
-    #: Canonical order within the variant: byte order of names and
-    #: lexicals. Distinct keys have distinct orders. For the variants of
-    #: names and literals it is one string, the fields joined by a blank
-    #: (a list's names by ", ", a literal as its `_order`): unlike a tuple,
-    #: a string is not tracked by the cyclic collector and compares in one
-    #: C call. Its byte order is the fields' tuple order, since names hold
-    #: neither a blank nor a comma and both sort below every identifier
-    #: character, no value-type keyword is a prefix of another, and the
-    #: lexical form, which may hold any character, is compared only after
-    #: an equal prefix.
-    order: ClassVar[Callable[[Any], Any]]
+    #: Canonical order within the variant, one string: unlike a tuple, it is
+    #: not tracked by the cyclic collector and compares in one C call.
+    #: Distinct keys of a built ontology have distinct orders. A property's
+    #: declarations all have one key there (a re-declaration with another
+    #: contract does not build), so its name orders them. Otherwise it joins
+    #: the fields by a blank (a list's names by ", ", a literal as its
+    #: `_order`), in the fields' tuple order: names hold neither a blank nor
+    #: a comma and both sort below every identifier character, no value-type
+    #: keyword is a prefix of another, and the lexical form, which may hold
+    #: any character, is compared only after an equal prefix.
+    order: ClassVar[Callable[[Any], str]]
     #: Whether an axiom only restates the implicit root, which files never
     #: need to write; None when no axiom of the variant does.
     implicit: ClassVar[Optional[Callable[[Any], bool]]] = None
@@ -400,7 +399,7 @@ class ObjPropDecl(Axiom):
     tag = 2
     declares = Kind.OBJECT_PROPERTY
     key = attrgetter("name", "domain", "range")
-    order = staticmethod(lambda ax: (ax.name, ax.domain or "", ax.range or ""))
+    order = attrgetter("name")
     refers = (("domain", Kind.CLASS), ("range", Kind.CLASS))
 
     def contract_clash(self, first: ObjPropDecl) -> Optional[Fault]:
@@ -426,14 +425,8 @@ class DataPropDecl(Axiom):
     tag = 3
     declares = Kind.DATA_PROPERTY
     key = staticmethod(lambda ax: (ax.name, ax.domain, ax.facet.key()))
+    order = attrgetter("name")
     refers = (("domain", Kind.CLASS),)
-
-    @staticmethod
-    def order(ax: DataPropDecl) -> tuple:
-        facet = ax.facet
-        allowed = tuple(v._order for v in facet.allowed or ())
-        facet_order = (facet.value_type.value, allowed, facet.cardinality.value)
-        return (ax.name, ax.domain or "", facet_order)
 
     def contract_clash(self, first: DataPropDecl) -> Optional[Fault]:
         if first.facet.key() != self.facet.key():
@@ -510,37 +503,6 @@ class DataAssertion(Axiom):
         return f"attr {self.subject} {self.prop} {self.value.to_oft()}"
 
 
-class _AssertionIndex(dict):
-    """`Ontology.assertion_index`: a missing declared property's entry is
-    built from one pass over the assertions of its kind, so a query pays
-    only for the properties it names; a hit is a plain dict lookup. It
-    keeps what it reads of the ontology, not the ontology, which caches it:
-    that would make a cycle that only the cyclic collector frees."""
-
-    def __init__(self, onto: Ontology):
-        super().__init__()
-        self.symbols = onto.symbols
-        self.sources = {
-            Kind.OBJECT_PROPERTY: (onto.obj_assertions, attrgetter("object")),
-            Kind.DATA_PROPERTY: (onto.data_assertions, attrgetter("value")),
-        }
-        # Positions, not masks: a mask per individual would hold n²/2 bits.
-        self.position = dict(zip(onto.individual_order, range(len(onto.individual_order))))
-
-    def __missing__(self, prop: str) -> dict:
-        source = self.sources.get(self.symbols.get(prop))
-        if source is None:
-            raise KeyError(prop)
-        assertions, target = source
-        position = self.position
-        targets = self[prop] = {}
-        for ax in assertions:
-            if ax.prop == prop:
-                obj = target(ax)
-                targets[obj] = targets.get(obj, 0) | 1 << position[ax.subject]
-        return targets
-
-
 @dataclass(frozen=True, eq=False)
 class Ontology:
     """Immutable, referentially closed axiom set.
@@ -567,22 +529,6 @@ class Ontology:
 
     def _all(self, variant: type) -> tuple:
         return self.by_variant.get(variant, ())
-
-    @cached_property
-    def individual_order(self) -> tuple[str, ...]:
-        """The individuals sorted by name: bit i of every mask over
-        individuals (`realize`'s `members_of`, `assertion_index`) stands for
-        the i-th."""
-        return tuple(sorted(self.individuals))
-
-    @cached_property
-    def assertion_index(self) -> dict[str, dict]:
-        """For each declared property, each asserted object (an individual,
-        or a literal) to the mask of its subjects over `individual_order`.
-        Literals equal by `key()` share one entry. Only instance queries
-        read it, and each property's entry is built on its first read; an
-        undeclared property is a `KeyError`."""
-        return _AssertionIndex(self)
 
     @cached_property
     def classes(self) -> frozenset[str]:

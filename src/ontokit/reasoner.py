@@ -11,12 +11,14 @@ from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, S
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
+from operator import attrgetter
 from typing import Optional
 
 from .model import (
     Diagnostic,
     E_CYCLE,
     IndividualDecl,
+    Kind,
     Ontology,
     SubClassOf,
     THING,
@@ -165,22 +167,51 @@ class TaxonomyClosure:
 
 @dataclass(frozen=True)
 class Realization:
-    """Inferred individual memberships under subsumption.
+    """Inferred individual memberships, and each property's assertions.
 
-    `members_of` masks are over `Ontology.individual_order`, the sorted
-    individuals, and `types_of` masks over the closure's class order.
-    Instance queries compute on the `members_of` masks, with
-    `Ontology.assertion_index` over the same universe, and decode only
+    `members_of` and `assertion_index` masks are over `members_of.universe`,
+    the individuals sorted by name; `types_of` masks are over the closure's
+    class order. Instance queries read only these masks and decode only
     their answer.
 
-    Both views compute one entry per read (see `_Walks`): `members_of[c]`
+    Each entry computes on its first read (see `_Walks`): `members_of[c]`
     walks down from `c` and collects the individuals asserted on the way,
     so `check` computes only its domain and range classes and a query only
-    the classes it names; `types_of[i]` walks up from `i`'s asserted types.
+    the classes it names; `types_of[i]` walks up from `i`'s asserted types;
+    `assertion_index[p]` is one pass over `p`'s assertions.
     """
 
     members_of: MaskView
     types_of: MaskView
+    assertion_index: dict[str, dict]
+
+
+class _AssertionIndex(dict):
+    """`Realization.assertion_index`: each asserted object of a property (an
+    individual, or a literal; literals equal by `key()` share one entry) to
+    the mask of its subjects. A missing declared property's entry is one
+    pass over the assertions of its kind; an undeclared one is a `KeyError`."""
+
+    def __init__(self, o: Ontology, position: dict[str, int]):
+        super().__init__()
+        self.o, self.position = o, position
+
+    def __missing__(self, prop: str) -> dict:
+        kind = self.o.symbols.get(prop)
+        if kind is Kind.OBJECT_PROPERTY:
+            assertions, target = self.o.obj_assertions, attrgetter("object")
+        elif kind is Kind.DATA_PROPERTY:
+            assertions, target = self.o.data_assertions, attrgetter("value")
+        else:
+            raise KeyError(prop)
+        # Positions, not masks: a mask per individual would hold n²/2 bits.
+        position = self.position
+        targets = self[prop] = {}
+        for ax in assertions:
+            if ax.prop == prop:
+                obj = target(ax)
+                targets[obj] = targets.get(obj, 0) | 1 << position[ax.subject]
+        return targets
 
 
 def _post_orders(
@@ -248,10 +279,10 @@ def realize(o: Ontology, closure: TaxonomyClosure) -> Realization:
 
     An individual belongs to its asserted types and to every ancestor of
     those types; `members_of` holds the inverse view with an entry (possibly
-    empty) for every class. Both views compute on first read; this records
-    only the positions of each class's asserted individuals.
+    empty) for every class. Each map entry computes on first read; this
+    numbers the individuals and records each class's asserted positions.
     """
-    individuals = o.individual_order
+    individuals = tuple(sorted(o.individuals))
     position = dict(zip(individuals, range(len(individuals))))
     asserted: dict[str, list[int]] = {}
     for ax in o._all(IndividualDecl):
@@ -271,4 +302,5 @@ def realize(o: Ontology, closure: TaxonomyClosure) -> Realization:
     return Realization(
         members_of=MaskView(members, individuals, closure.position),
         types_of=MaskView(types, closure.order, position),
+        assertion_index=_AssertionIndex(o, position),
     )

@@ -335,10 +335,11 @@ class TestMaskEvaluation:
 
     def test_index_is_built_by_instance_queries_only(self):
         """Checking, exporting, merging, ingesting and the taxonomy modes
-        leave the assertion index unbuilt; the first instance query builds
-        it with only the entry of the property it reads, and the next one
-        reuses it. An undeclared property, or a name of another kind, is a
-        `KeyError` and builds nothing."""
+        leave the realization's assertion index empty, and no ontology
+        holds one; the first instance query builds the entry of the
+        property it reads only, and the next one reuses the index. An
+        undeclared property, or a name of another kind, is a `KeyError`
+        and builds nothing."""
         onto = load_corpus()
         closure, _ = compute_closure(onto)
         realization = realize(onto, closure)
@@ -353,15 +354,16 @@ class TestMaskEvaluation:
             if mode is not QueryMode.INSTANCES:
                 eval_query(onto, closure, realization, Named("Dates"), mode)
         for built in (onto, report.merged, combined):
-            assert "assertion_index" not in built.__dict__
+            assert not hasattr(built, "assertion_index")
+        index = realization.assertion_index
+        assert not index
         eval_query(onto, closure, realization, parse_query("has_benefits some Health"), QueryMode.INSTANCES)
-        index = onto.__dict__["assertion_index"]
         assert list(index) == ["has_benefits"]
         for name in ("no_such_property", "Dates"):
             with pytest.raises(KeyError):
                 index[name]
         eval_query(onto, closure, realization, parse_query("has_date_of_origin value 1930"), QueryMode.INSTANCES)
-        assert onto.__dict__["assertion_index"] is index
+        assert realization.assertion_index is index
         assert list(index) == ["has_benefits", "has_date_of_origin"]
 
 

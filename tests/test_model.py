@@ -61,6 +61,13 @@ class TestLiteral:
         with pytest.raises(ValueError):
             Literal(ValueType.STRING, "line\nbreak")
 
+    def test_facet_only_types_rejected(self):
+        """`literal` and `enum` constrain a facet; no value has them, and
+        such a literal would have no written form."""
+        for value_type in (ValueType.ANY, ValueType.ENUM):
+            with pytest.raises(ValueError, match="facet type"):
+                Literal(value_type, "x")
+
     def test_datetime_forms(self):
         Literal(ValueType.DATETIME, "2020-02-29")
         Literal(ValueType.DATETIME, "2020-01-01T10:20:30")
