@@ -149,9 +149,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     )
     if ingest_diags:
         raise _Failed(ingest_diags)
-    combined, build_diags = build_ontology(
-        onto.name, axioms, onto.provenance + (args.csv,), base=onto
-    )
+    combined, build_diags = build_ontology(onto.name, axioms, base=onto)
     if combined is None:
         raise _Failed(build_diags)
     _write_text(args.output, serialize_oft(combined))

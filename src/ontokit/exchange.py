@@ -10,12 +10,15 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .model import (
     Axiom,
+    Cardinality,
     DataAssertion,
     Diagnostic,
+    E_CARD_SINGLE,
     E_CSV_HEADER,
     E_DUP_INDIVIDUAL,
     E_KIND_CLASH,
@@ -31,7 +34,6 @@ from .model import (
     THING,
     ValueType,
     build_ontology,
-    canonical_axioms,
     error,
     is_ident,
     sort_diagnostics,
@@ -120,8 +122,9 @@ def ingest_csv(
 
     The first row is the header; the `id` column names each individual. Cells
     parse according to the mapped property's facet value type, each distinct
-    cell once per call. Any diagnostic suppresses the whole result (no
-    partial axiom lists).
+    cell once per call. A row gives a single-cardinality property at most one
+    value: each later one is an `E_CARD_SINGLE` error. Any diagnostic
+    suppresses the whole result (no partial axiom lists).
     """
     diags: list[Diagnostic] = []
     if o.symbols.get(target_class) is not Kind.CLASS:
@@ -190,6 +193,7 @@ def ingest_csv(
             continue
         seen_ids.add(row_id)
         axioms.append(IndividualDecl(row_id, (target_class,), file=file_name, line=line))
+        valued: set[str] = set()  # the properties given a value in this row
         for header, prop in column_map:
             cell = row[columns[header]]
             if cell == "":
@@ -209,6 +213,12 @@ def ingest_csv(
                     )
                     continue
                 literals[prop, cell] = lit
+            # Every value after a row's first breaks single cardinality.
+            if prop in valued and o.facets[prop].cardinality is Cardinality.SINGLE:
+                message = f"{row_id} has more than one value for single-cardinality {prop}"
+                diags.append(error(E_CARD_SINGLE, message, file_name, line))
+                continue
+            valued.add(prop)
             axioms.append(DataAssertion(row_id, prop, lit, file=file_name, line=line))
     if diags:
         return [], sort_diagnostics(diags)
@@ -241,15 +251,10 @@ def _conflict(ax: Axiom, a: Ontology, symbols: dict[str, Kind]) -> Optional[Faul
         clash = ax.contract_clash(first) if first is not None else None
         if clash is not None:
             return Fault(clash.code, f"{clash.message}; keeping the first")
-    for ref_name, wanted in ax.references():
-        found = symbols.get(ref_name)
-        if found is not wanted:
-            return Fault(
-                E_UNKNOWN_REF if found is None else E_KIND_CLASH,
-                f"dropped: {ref_name} is "
-                + ("not declared" if found is None else f"declared as {found.value}")
-                + f", needed as {wanted.value}",
-            )
+    for ref_name, wanted, found in ax.unsound_references(symbols):
+        code = E_UNKNOWN_REF if found is None else E_KIND_CLASH
+        why = "not declared" if found is None else f"declared as {found.value}"
+        return Fault(code, f"dropped: {ref_name} is {why}, needed as {wanted.value}")
     return None
 
 
@@ -258,37 +263,39 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
 
     Identical names must agree in kind and, for properties, in their
     declared contract (facet, domain, range); the second ontology's
-    conflicting axioms are dropped and reported. The union is a's axioms
-    followed by the second ontology's survivors, and only the survivors are
-    checked again. A cycle introduced by the union is reported as a
-    conflict on the otherwise-complete result. Raises ValueError when
-    `name` is not an identifier.
+    conflicting axioms are dropped and reported, each key once, at its first
+    axiom. The union is a's axioms followed by the second ontology's
+    survivors, by variant in tag order and each variant in axiom order, and
+    only the survivors are checked again. A cycle introduced by the union is
+    reported as a conflict on the otherwise-complete result. Raises
+    ValueError when `name` is not an identifier.
     """
     if not is_ident(name):
         raise ValueError(f"invalid ontology name {name!r}")
-    kept = {variant: set(map(variant.key, group)) for variant, group in a.by_variant.items()}
     # A name of the second ontology is declared only by a surviving
-    # declaration; the canonical order puts every declaration before the
-    # axioms that refer to it (classes, properties, individuals, then
-    # assertions), so one pass drops the dependents of a dropped one.
+    # declaration. Tag order puts every declaration variant before the
+    # variants that refer to it (classes, properties, individuals, then
+    # assertions), and no variant refers to its own kind, so one pass drops
+    # the dependents of a dropped one.
     symbols = dict(a.symbols)
     survivors: list[Axiom] = []
     conflicts: list[Diagnostic] = []
-    for ax in canonical_axioms(b):
-        variant = type(ax)
-        if variant.key(ax) in kept.get(variant, ()):
-            continue
-        conflict = _conflict(ax, a, symbols)
-        if conflict is not None:
-            conflicts.append(conflict.diagnostic(ax.file, ax.line))
-            continue
-        survivors.append(ax)
-        if variant.declares is not None:
-            symbols.setdefault(ax.name, variant.declares)
+    for variant in sorted(b.by_variant, key=attrgetter("tag")):
+        seen = set(map(variant.key, a.by_variant.get(variant, ())))
+        for ax in b.by_variant[variant]:
+            key = variant.key(ax)
+            if key in seen or variant.implicit is not None and variant.implicit(ax):
+                continue
+            seen.add(key)
+            conflict = _conflict(ax, a, symbols)
+            if conflict is not None:
+                conflicts.append(conflict.diagnostic(ax.file, ax.line))
+                continue
+            survivors.append(ax)
+            if variant.declares is not None:
+                symbols.setdefault(ax.name, variant.declares)
 
-    merged, build_diags = build_ontology(
-        name, survivors, a.provenance + b.provenance, base=a
-    )
+    merged, build_diags = build_ontology(name, survivors, base=a)
     if merged is None:
         raise AssertionError(f"merge produced an unbuildable union: {build_diags}")
     _, cycles = compute_closure(merged)

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
-from typing import Any, Callable, ClassVar, Hashable, Iterable, Optional, Sequence
+from typing import Any, Callable, ClassVar, Hashable, Iterable, Iterator, Optional, Sequence
 
 #: Identifier, boolean and number syntax, shared by the validators below
 #: and the token patterns of the OFT and query scanners. The boolean words
@@ -334,11 +334,16 @@ class Axiom:
         """An error finding at the axiom's file and line."""
         return error(code, message, self.file, self.line)
 
-    def references(self) -> tuple[tuple[str, Kind], ...]:
-        """Names the axiom refers to, paired with the kind each use demands."""
-        return tuple(
-            (name, kind) for f, kind in self.refers for name in _named(getattr(self, f))
-        )
+    def unsound_references(
+        self, symbols: dict[str, Kind]
+    ) -> Iterator[tuple[str, Kind, Optional[Kind]]]:
+        """Each name the axiom refers to that `symbols` lacks or holds as
+        another kind: (name, the kind the use demands, the kind found or
+        None), in `refers` order and, within a field, in name order."""
+        for f, wanted in self.refers:
+            for name in _named(getattr(self, f)):
+                if symbols.get(name) is not wanted:
+                    yield name, wanted, symbols.get(name)
 
     def fault(self) -> Optional[Fault]:
         """The finding when the axiom is malformed on its own."""
@@ -522,7 +527,6 @@ class Ontology:
     #: The axioms grouped by variant, each group in axiom order; one pass
     #: of the build serves every view below.
     by_variant: dict[type, tuple[Axiom, ...]] = field(repr=False)
-    provenance: tuple[str, ...] = ()
 
     def _names_of(self, kind: Kind) -> frozenset[str]:
         return frozenset(n for n, k in self.symbols.items() if k is kind)
@@ -595,35 +599,23 @@ class Ontology:
         return {ax.name: (ax.file, ax.line) for ax in self._first(IndividualDecl)}
 
 
-def _reference_faults(
-    group: Sequence[Axiom], field_name: str, wanted: Kind, symbols: dict[str, Kind]
-) -> list[Diagnostic]:
-    """The findings of the `field_name` references of a group of axioms of
-    one variant: a name missing from `symbols` or declared as another kind
-    than `wanted`. Each distinct name is looked up once when all are sound."""
-    get = attrgetter(field_name)
-    names = set(map(get, group)) - {None}
-    # A field holds the same shape in every axiom; only a list of names is a tuple.
-    if names and type(next(iter(names))) is tuple:
-        names = set(chain.from_iterable(names))
-    if set(map(symbols.get, names)) <= {wanted}:
-        return []
-    diags = []
-    for ax in group:
-        for name in _named(get(ax)):
-            found = symbols.get(name)
-            if found is None:
-                diags.append(ax.error(E_UNKNOWN_REF, f"{name} is not declared"))
-            elif found is not wanted:
-                message = f"{name} used as {wanted.value} but declared as {found.value}"
-                diags.append(ax.error(E_KIND_CLASH, message))
-    return diags
+def _refers_soundly(group: Sequence[Axiom], symbols: dict[str, Kind]) -> bool:
+    """Whether every reference of a group of axioms of one variant names a
+    symbol of the kind its use demands, each distinct name looked up once."""
+    for field_name, wanted in type(group[0]).refers:
+        names = set(map(attrgetter(field_name), group)) - {None}
+        # A field holds the same shape in every axiom; only a list of names is a tuple.
+        if names and type(next(iter(names))) is tuple:
+            names = set(chain.from_iterable(names))
+        if not set(map(symbols.get, names)) <= {wanted}:
+            return False
+    return True
 
 
 def build_ontology(
     name: str,
     axioms: Sequence[Axiom],
-    provenance: Sequence[str] = (),
+    *,
     base: Optional[Ontology] = None,
 ) -> tuple[Optional[Ontology], list[Diagnostic]]:
     """Check an axiom list and wrap it into an Ontology.
@@ -678,8 +670,14 @@ def build_ontology(
                 fault = ax.fault()
                 if fault is not None:
                     diags.append(fault.diagnostic(ax.file, ax.line))
-        for field_name, wanted in variant.refers:
-            diags += _reference_faults(group, field_name, wanted, symbols)
+        if not _refers_soundly(group, symbols):
+            for ax in group:
+                for ref, wanted, found in ax.unsound_references(symbols):
+                    if found is None:
+                        diags.append(ax.error(E_UNKNOWN_REF, f"{ref} is not declared"))
+                    else:
+                        message = f"{ref} used as {wanted.value} but declared as {found.value}"
+                        diags.append(ax.error(E_KIND_CLASH, message))
         by_variant[variant] = by_variant.get(variant, ()) + tuple(group)
 
     if diags:
@@ -690,7 +688,6 @@ def build_ontology(
         symbols=symbols,
         declarations=first_decls,
         by_variant=by_variant,
-        provenance=tuple(provenance),
     )
     return onto, []
 

@@ -477,14 +477,12 @@ def load_sources(
     name: Optional[str] = None
     axioms: list[Axiom] = []
     diags: list[Diagnostic] = []
-    provenance: list[str] = []
     for file_name, text in sources:
         result = parse_oft(text, file_name)
         if name is None:
             name = result.ontology_name
         axioms.extend(result.axioms)
         diags.extend(result.diagnostics)
-        provenance.append(file_name)
     if diags:
         return None, sort_diagnostics(diags)
-    return build_ontology(name or "unnamed", axioms, provenance)
+    return build_ontology(name or "unnamed", axioms)

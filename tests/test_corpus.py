@@ -155,5 +155,5 @@ def test_load_corpus_uses_both_fixture_files():
         "date_fruit.oft",
         "date_fruit_instances.oft",
     ]
-    assert onto.provenance == tuple(str(p) for p in corpus_paths())
+    assert {ax.file for ax in onto.axioms} == {str(p) for p in corpus_paths()}
     assert onto.name == "date_fruit"

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -342,6 +343,21 @@ class TestIngestCsv:
         )
         assert [(d.code, d.line) for d in diags] == [("E_TYPE_MISMATCH", 2)]
 
+    def test_later_value_of_a_single_property_reported(self):
+        """Each value after a row's first for a single-cardinality property
+        is one finding; empty cells and a multiple-cardinality property's
+        values are not."""
+        onto = parse_built(INGEST_BASE + "dataprop tag domain Dates type string card multiple\n")
+        column_map = [("x", "has_year"), ("y", "has_year"), ("z", "has_year")]
+        column_map += [("s", "tag"), ("t", "tag")]
+        text = "id,x,y,z,s,t\nA,1,2,2,a,b\nB,,2,,a,b\n"
+        axioms, diags = ingest_csv(onto, text, "Dates", column_map, "d.csv")
+        assert axioms == []
+        message = "A has more than one value for single-cardinality has_year"
+        assert [d.render() for d in diags] == [f"d.csv:2: error E_CARD_SINGLE {message}"] * 2
+        axioms, diags = ingest_csv(onto, "id,x,y,z,s,t\nB,,2,,a,b\n", "Dates", column_map)
+        assert diags == [] and len(axioms) == 4
+
     def test_diagnostics_suppress_axioms(self):
         onto = parse_built(INGEST_BASE)
         axioms, diags = ingest_csv(
@@ -522,7 +538,6 @@ def _random_pair(seed):
 def _same_ontology(got, want):
     assert got.name == want.name
     assert got.axioms == want.axioms
-    assert got.provenance == want.provenance
     assert dict(got.symbols) == dict(want.symbols)
     assert serialize_oft(got) == serialize_oft(want)
     assert list(got.declarations.items()) == list(want.declarations.items())
@@ -538,13 +553,35 @@ def test_merge_extends_like_a_rebuild(seed):
     report = merge(a, b, "m")
     survivors = list(report.merged.axioms[len(a.axioms):])
     assert report.added == len(survivors)
-    provenance = a.provenance + b.provenance
-    rebuilt, diags = build_ontology("m", list(a.axioms) + survivors, provenance)
+    rebuilt, diags = build_ontology("m", list(a.axioms) + survivors)
     assert rebuilt is not None, diags
     _same_ontology(report.merged, rebuilt)
-    canonical, diags = build_ontology("m", canonical_axioms(a) + survivors, provenance)
+    canonical, diags = build_ontology("m", canonical_axioms(a) + survivors)
     assert canonical is not None, diags
     assert serialize_oft(report.merged) == serialize_oft(canonical)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_merge_screens_each_new_key_once(seed):
+    """Each distinct non-implicit key of b that a lacks is either added or
+    reported once, at its first axiom in b, and a reported one is missing
+    from the union. Implicit root bookkeeping is never screened."""
+    _, a, b = _random_pair(seed)
+    axioms = [*b.axioms, ClassDecl(THING), SubClassOf(min(b.classes), THING)]
+    b = built([dataclasses.replace(ax, line=i) for i, ax in enumerate(axioms, 1)], "b")
+    old = {ax.identity() for ax in a.axioms}
+    first = {}
+    for ax in b.axioms:
+        implicit = type(ax).implicit
+        if not (implicit is not None and implicit(ax)) and ax.identity() not in old:
+            first.setdefault(ax.identity(), ax)
+    report = merge(a, b, "m")
+    screened = [(d.file, d.line) for d in report.conflicts if d.code != "E_CYCLE"]
+    assert report.added + len(screened) == len(first)
+    merged = {ax.identity() for ax in report.merged.axioms}
+    missing = [(ax.file, ax.line) for ax in first.values() if ax.identity() not in merged]
+    assert Counter(screened) == Counter(missing)
 
 
 @settings(max_examples=300, deadline=None)
@@ -565,10 +602,9 @@ def test_ingest_extends_like_a_rebuild(seed):
     target = rng.choice(sorted(onto.classes))
     rows, diags = ingest_csv(onto, out.getvalue(), target, [(p, p) for p in props])
     assert diags == []
-    provenance = onto.provenance + ("rows.csv",)
-    combined, diags = build_ontology(onto.name, rows, provenance, base=onto)
+    combined, diags = build_ontology(onto.name, rows, base=onto)
     assert combined is not None, diags
-    rebuilt, _ = build_ontology(onto.name, list(onto.axioms) + rows, provenance)
+    rebuilt, _ = build_ontology(onto.name, list(onto.axioms) + rows)
     _same_ontology(combined, rebuilt)
 
 
@@ -580,8 +616,8 @@ def test_extending_build_matches_rebuild(seed):
     ontology."""
     _, a, b = _random_pair(seed)
     extra = list(b.axioms)
-    extended, diags = build_ontology("m", extra, ("x",), base=a)
-    rebuilt, rebuilt_diags = build_ontology("m", list(a.axioms) + extra, ("x",))
+    extended, diags = build_ontology("m", extra, base=a)
+    rebuilt, rebuilt_diags = build_ontology("m", list(a.axioms) + extra)
     assert diags == rebuilt_diags
     assert (extended is None) == (rebuilt is None)
     if extended is not None:
