@@ -192,7 +192,7 @@ def ingest_csv(
             diags.append(error(E_DUP_INDIVIDUAL, f"{row_id} already exists", file_name, line))
             continue
         seen_ids.add(row_id)
-        axioms.append(IndividualDecl(row_id, (target_class,), file=file_name, line=line))
+        axioms.append(IndividualDecl.make(row_id, (target_class,), file_name, line))
         valued: set[str] = set()  # the properties given a value in this row
         for header, prop in column_map:
             cell = row[columns[header]]
@@ -219,7 +219,7 @@ def ingest_csv(
                 diags.append(error(E_CARD_SINGLE, message, file_name, line))
                 continue
             valued.add(prop)
-            axioms.append(DataAssertion(row_id, prop, lit, file=file_name, line=line))
+            axioms.append(DataAssertion.make(row_id, prop, lit, file_name, line))
     if diags:
         return [], sort_diagnostics(diags)
     return axioms, []

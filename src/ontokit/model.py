@@ -9,6 +9,7 @@ plus a symbol table mapping every declared name to its kind; everything else
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
@@ -267,18 +268,28 @@ class FacetSpec:
 def _variant(cls: type) -> type:
     """Make an axiom variant a slotted frozen dataclass, as `Axiom` is, whose
     `__init__` sets each slot through its member descriptor rather than by
-    `object.__setattr__`: well under half the cost, for an axiom per line
-    loaded. It keeps the generated one's parameters, defaults and
-    annotations."""
+    `object.__setattr__`: well under half the cost. It keeps the generated
+    one's parameters, defaults and annotations.
+
+    The same `exec` writes the variant's `make(*fields, file, line)`, which
+    takes every field positionally, with no default, and builds the axiom
+    by `object.__new__` and the same slot sets: no `type.__call__` and no
+    keyword parsing, for the loaders that build an axiom per line or row."""
     cls = dataclass(frozen=True, slots=True)(cls)
     generated = cls.__init__
     code = generated.__code__
     n = code.co_argcount  # `self` and the positional fields; keyword-only ones follow
     params = code.co_varnames[: n + code.co_kwonlyargcount]
     env = {f"_set_{name}": getattr(cls, name).__set__ for name in params[1:]}
+    env.update(_new=object.__new__, _cls=cls)
     signature = ", ".join([*params[:n], "*", *params[n:]])
     body = "".join(f"    _set_{name}(self, {name})\n" for name in params[1:])
-    exec(f"def __init__({signature}):\n{body}", env)
+    exec(
+        f"def __init__({signature}):\n{body}"
+        f"def make({', '.join(params[1:])}):\n    self = _new(_cls)\n{body}    return self\n",
+        env,
+    )
+    cls.make = staticmethod(env["make"])
     init = env["__init__"]
     init.__defaults__, init.__kwdefaults__ = generated.__defaults__, generated.__kwdefaults__
     init.__annotations__ = generated.__annotations__
@@ -322,6 +333,8 @@ class Axiom:
     #: Each field that names other entities (a name, None or a tuple of
     #: names), with the kind the use demands.
     refers: ClassVar[tuple[tuple[str, Kind], ...]] = ()
+    #: `make(*fields, file, line)`: the axiom, every argument positional.
+    make: ClassVar[Callable[..., Any]]
 
     file: str = field(default="", kw_only=True)
     line: int = field(default=0, kw_only=True)
@@ -622,8 +635,10 @@ def build_ontology(
 
     Performs every referential and kind check and reports all findings
     rather than stopping at the first. Declarations are read in axiom order,
-    so the first of a name wins; the other checks run variant by variant.
-    Returns (ontology, []) on success and (None, diagnostics) otherwise.
+    so the first of a name wins; their names are checked in one C-level
+    pass, and one by one only when some name fails. The other checks run
+    variant by variant. Returns (ontology, []) on success and
+    (None, diagnostics) otherwise.
 
     With `base`, an ontology already built, the build extends it: it starts
     from the base's symbols and first declarations and checks only `axioms`,
@@ -644,20 +659,20 @@ def build_ontology(
         first_decls = dict(base.declarations)
         kept = base.axioms
         by_variant = dict(base.by_variant)
-    groups: dict[type, list[Axiom]] = {}
+    groups: dict[type, list[Axiom]] = defaultdict(list)
     for ax in axioms:
-        groups.setdefault(type(ax), []).append(ax)
-        kind = ax.declares
-        if kind is None:
-            continue
-        decl_name = ax.name
+        groups[type(ax)].append(ax)
+    decls = list(filter(attrgetter("declares"), axioms))
+    names_valid = all(map(IDENT_RE.match, map(attrgetter("name"), decls)))
+    for ax in decls:
+        kind, decl_name = ax.declares, ax.name
         # Re-declaring a property must not change its contract.
         first = first_decls.setdefault((decl_name, kind), ax)
         if first is not ax:
             clash = ax.contract_clash(first)
             if clash is not None:
                 diags.append(clash.diagnostic(ax.file, ax.line))
-        if not is_ident(decl_name):
+        if not names_valid and not is_ident(decl_name):
             diags.append(ax.error(E_SYNTAX, f"invalid identifier {decl_name!r}"))
             continue
         prior = symbols.setdefault(decl_name, kind)

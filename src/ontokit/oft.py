@@ -351,9 +351,9 @@ class _Reader:
         append, file = self.axioms.append, self.file
         if cls not in self.declared_classes:
             self.declared_classes.add(cls)
-            append(ClassDecl(cls, file=file, line=ln))
+            append(ClassDecl.make(cls, file, ln))
         for parent in parents:
-            append(SubClassOf(cls, parent, file=file, line=ln))
+            append(SubClassOf.make(cls, parent, file, ln))
 
     def read(self, source: str) -> None:
         """Add the axioms of every line of `source`, read in one scan by
@@ -366,10 +366,11 @@ class _Reader:
         # A line's final CR goes: the one before each LF, and one at the end.
         source = source.replace("\r\n", "\n").removesuffix("\r")
         file, append, literal = self.file, self.axioms.append, self.literal
+        rel, attr, individual = ObjAssertion.make, DataAssertion.make, IndividualDecl.make
         for ln, m in enumerate(_LINE.finditer(source), 1):
             head = m.lastgroup
             if head == "object":  # a `rel` line
-                append(ObjAssertion(*m.group("subject", "prop", "object"), file=file, line=ln))
+                append(rel(*m.group("subject", "prop", "object"), file, ln))
             elif head in LITERAL_KINDS:  # an `attr` line: `head` is its value's kind
                 lexical = m[head]
                 if head == "string" and "\\" in lexical:
@@ -379,11 +380,11 @@ class _Reader:
                 except ValueError:  # a line break, a number out of range, not a date
                     self.token_line(m[0].rstrip("\n"), ln)
                     continue
-                append(DataAssertion(*m.group("subject", "prop"), value, file=file, line=ln))
+                append(attr(*m.group("subject", "prop"), value, file, ln))
             elif head == "individual":
                 names = m["types"]
                 types = tuple(_SPLIT_NAMES(names)) if "," in names else (names,)
-                append(IndividualDecl(m["name"], types, file=file, line=ln))
+                append(individual(m["name"], types, file, ln))
             elif head == "class":
                 cls, parents = m.group("cls", "parents")
                 if parents is not None:  # the split costs more than the test

@@ -139,7 +139,7 @@ class TestExportDot:
             for parent, child in drawn:
                 child_to_parents.setdefault(child, frozenset())
                 child_to_parents[child] |= {parent}
-            reach = bruteforce.warshall_reachability(child_to_parents)
+            reach = bruteforce.reachability(child_to_parents)
             for cls in onto.classes:
                 assert reach.get(cls, set()) == set(closure.ancestors[cls])
 

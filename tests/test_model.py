@@ -74,16 +74,31 @@ class TestLiteral:
         Literal(ValueType.DATETIME, "2020-01-01T10:20:30Z")
 
 
+_FACET = FacetSpec(ValueType.NUMBER, (Literal(ValueType.NUMBER, "1"),))
+_SAY_HI = Literal(ValueType.STRING, 'say "hi"')
+
 _IMMUTABLE = [
     ClassDecl("A", file="a.oft", line=1),
     SubClassOf("A", "B", line=2),
     ObjPropDecl("p", "A", None),
-    DataPropDecl("d", FacetSpec(ValueType.NUMBER, (Literal(ValueType.NUMBER, "1"),)), "A"),
+    DataPropDecl("d", _FACET, "A"),
     IndividualDecl("i", ("A", "B")),
     ObjAssertion("i", "p", "j"),
-    DataAssertion("i", "d", Literal(ValueType.STRING, 'say "hi"')),
-    Literal(ValueType.STRING, 'say "hi"'),
+    DataAssertion("i", "d", _SAY_HI),
+    _SAY_HI,
     Literal(ValueType.NUMBER, "1.0"),
+]
+
+# Each variant with the constructor's positional arguments, defaults left
+# out, and every field value in order, defaults included: `make`'s fields.
+_MADE = [
+    (ClassDecl, ("A",), ("A",)),
+    (SubClassOf, ("A", "B"), ("A", "B")),
+    (ObjPropDecl, ("p",), ("p", None, None)),
+    (DataPropDecl, ("d", _FACET), ("d", _FACET, None)),
+    (IndividualDecl, ("i", ("A", "B")), ("i", ("A", "B"))),
+    (ObjAssertion, ("i", "p", "j"), ("i", "p", "j")),
+    (DataAssertion, ("i", "d", _SAY_HI), ("i", "d", _SAY_HI)),
 ]
 
 
@@ -111,6 +126,31 @@ class TestImmutability:
         assert ClassDecl("A").identity() != ObjPropDecl("A").identity()
         assert ClassDecl("A") == ClassDecl("A")
         assert ClassDecl("A", line=1) != ClassDecl("A", line=2)
+
+    @pytest.mark.parametrize(
+        "variant, args, values", _MADE, ids=[variant.__name__ for variant, _, _ in _MADE]
+    )
+    def test_make_builds_what_the_constructor_builds(self, variant, args, values):
+        """`make` takes every field, defaults included, and the location
+        positionally, and its axiom is the constructor's in every respect."""
+        made = variant.make(*values, "f.oft", 7)
+        built = variant(*args, file="f.oft", line=7)
+        assert type(made) is variant
+        names = [f.name for f in fields(variant) if not f.kw_only]
+        expected = {"file": "f.oft", "line": 7, **dict(zip(names, values))}
+        for f in fields(variant):
+            assert getattr(made, f.name) == getattr(built, f.name) == expected[f.name]
+        assert made == built and hash(made) == hash(built) and repr(made) == repr(built)
+        assert made.identity() == built.identity()
+        for f in fields(variant):
+            with pytest.raises(FrozenInstanceError):
+                setattr(made, f.name, getattr(made, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(made, f.name)
+        assert replace(made) == built
+        assert replace(made, line=8) == replace(built, line=8) != built
+        with pytest.raises(TypeError):
+            variant.make(*values)
 
     def test_constructor_signature_and_repr(self):
         assert str(inspect.signature(ObjPropDecl.__init__)) == (
@@ -347,6 +387,72 @@ class TestBuildOntology:
             ("E_UNKNOWN_REF", "B is not declared", 3),
             ("E_KIND_CLASH", "p used as class but declared as object property", 5),
         ]
+
+    def test_invalid_declared_names(self):
+        """Every invalid declared name is reported at each of its
+        declarations and never enters the symbol table: a later use of it
+        is an unknown reference, and a re-declaration as another kind is no
+        kind clash. A property re-declared with another contract still
+        clashes, valid name or not."""
+        axioms = [
+            ClassDecl("A", file="f", line=1),
+            ClassDecl("true", file="f", line=2),
+            ClassDecl("1x", file="f", line=3),
+            ObjPropDecl("a b", "A", None, file="f", line=4),
+            ClassDecl("B", file="f", line=5),
+            ClassDecl("1x", file="f", line=6),
+            IndividualDecl("true", ("A",), file="f", line=7),
+            SubClassOf("B", "1x", file="f", line=8),
+            IndividualDecl("i", ("B", "true"), file="f", line=9),
+            ObjPropDecl("a b", "B", None, file="f", line=10),
+            ObjAssertion("i", "a b", "i", file="f", line=11),
+            DataPropDecl("d", FacetSpec(ValueType.NUMBER), "A", file="f", line=12),
+        ]
+        onto, diags = build_ontology("t", axioms)
+        assert onto is None
+        assert [(d.code, d.message, d.line) for d in diags] == [
+            ("E_SYNTAX", "invalid identifier 'true'", 2),
+            ("E_SYNTAX", "invalid identifier '1x'", 3),
+            ("E_SYNTAX", "invalid identifier 'a b'", 4),
+            ("E_SYNTAX", "invalid identifier '1x'", 6),
+            ("E_SYNTAX", "invalid identifier 'true'", 7),
+            ("E_UNKNOWN_REF", "1x is not declared", 8),
+            ("E_UNKNOWN_REF", "true is not declared", 9),
+            ("E_PROP_CLASH", "a b re-declared with a different domain/range", 10),
+            ("E_SYNTAX", "invalid identifier 'a b'", 10),
+            ("E_UNKNOWN_REF", "a b is not declared", 11),
+        ]
+        # Without the invalid declarations the rest builds, with only the
+        # valid names.
+        valid = [ax for ax in axioms if ax.line in (1, 5, 12)]
+        assert set(build_ok(valid).symbols) == {THING, "A", "B", "d"}
+
+        base = build_ok(valid + [IndividualDecl("i", ("A",), file="b", line=1)])
+        extension = [
+            ClassDecl("C", file="g", line=1),
+            ClassDecl("true", file="g", line=2),
+            ClassDecl("1x", file="g", line=3),
+            ClassDecl("1x", file="g", line=4),
+            IndividualDecl("1x", ("C",), file="g", line=5),
+            SubClassOf("C", "true", file="g", line=6),
+            ObjPropDecl("a b", "C", "A", file="g", line=7),
+            IndividualDecl("j", ("C", "1x"), file="g", line=8),
+            ObjAssertion("i", "a b", "j", file="g", line=9),
+            DataAssertion("j", "d", Literal(ValueType.NUMBER, "1"), file="g", line=10),
+        ]
+        onto, diags = build_ontology("t", extension, base=base)
+        assert onto is None
+        assert [(d.code, d.message, d.line) for d in diags] == [
+            ("E_SYNTAX", "invalid identifier 'true'", 2),
+            ("E_SYNTAX", "invalid identifier '1x'", 3),
+            ("E_SYNTAX", "invalid identifier '1x'", 4),
+            ("E_SYNTAX", "invalid identifier '1x'", 5),
+            ("E_UNKNOWN_REF", "true is not declared", 6),
+            ("E_SYNTAX", "invalid identifier 'a b'", 7),
+            ("E_UNKNOWN_REF", "1x is not declared", 8),
+            ("E_UNKNOWN_REF", "a b is not declared", 9),
+        ]
+        assert set(base.symbols) == {THING, "A", "B", "d", "i"}
 
     def test_ontology_keys_a_dict(self, corpus):
         other = build_ok([ClassDecl("A")])

@@ -70,9 +70,46 @@ class TestClosure:
         for _ in range(40):
             n = rng.randint(2, 50)
             onto, closure = closure_of(bruteforce.random_taxonomy_axioms(rng, n))
-            oracle = bruteforce.warshall_reachability(onto.direct_parents)
+            oracle = bruteforce.reachability(onto.direct_parents)
             assert {c: set(a) for c, a in closure.ancestors.items()} == oracle
             assert parents_first(closure)
+
+    def test_reachability_oracle_matches_the_matrix_definition(self):
+        """On any graph, a node's reach is the set of nodes at the end of a
+        path of 1 to n edges from it: the union of the first n powers of
+        the edge matrix, here one row of bits per node. A class on a cycle
+        reaches itself; a class that only appears as a parent is a node."""
+        rng = random.Random(43)
+        cyclic = 0
+        for _ in range(150):
+            names = [f"C{i}" for i in range(rng.randint(1, 40))]
+            density = rng.choice((0.5, 1.5, 3.0)) / len(names)
+            parents = {
+                a: frozenset(b for b in names if rng.random() < density)
+                for a in names
+                if rng.random() < 0.9
+            }
+            nodes = sorted({THING, *parents, *(p for ps in parents.values() for p in ps)})
+            bit = {c: 1 << i for i, c in enumerate(nodes)}
+            edges = {c: sum(bit[p] for p in parents.get(c, ())) for c in nodes}
+
+            def step(row: int) -> int:
+                """The row times the edge matrix."""
+                out = 0
+                for c in nodes:
+                    if row & bit[c]:
+                        out |= edges[c]
+                return out
+
+            power, paths = dict(edges), dict(edges)
+            for _ in range(len(nodes) - 1):
+                power = {c: step(power[c]) for c in nodes}
+                paths = {c: paths[c] | power[c] for c in nodes}
+            expected = {c: {p for p in nodes if paths[c] & bit[p]} for c in nodes}
+            reach = bruteforce.reachability(parents)
+            assert reach == expected
+            cyclic += any(c in reach[c] for c in reach)
+        assert 0 < cyclic < 150  # graphs with and without a cycle both occur
 
     def test_deterministic(self, corpus):
         first, _ = compute_closure(corpus)
@@ -95,7 +132,7 @@ class TestDeepTaxonomy:
 
     def test_closure_matches_reachability_oracle(self, deep):
         onto, closure, _ = deep
-        oracle = bruteforce.warshall_reachability(onto.direct_parents)
+        oracle = bruteforce.reachability(onto.direct_parents)
         assert {c: set(a) for c, a in closure.ancestors.items()} == oracle
         assert parents_first(closure)
         inverse: dict[str, set[str]] = {c: set() for c in oracle}
@@ -170,7 +207,7 @@ class TestLazyViews:
                 assert all(k in view for k in keys) and "Nope" not in view
                 assert not self.computed(view), (draw, name)
 
-            reach = bruteforce.warshall_reachability(onto.direct_parents)
+            reach = bruteforce.reachability(onto.direct_parents)
             reads = [(name, k) for name, view in views.items() for k in view]
             reads = rng.sample(reads, rng.randint(0, len(reads)))
             for name, key in reads:
@@ -275,7 +312,7 @@ class TestCycles:
             ]
             counts.append(len(expected))
             cycles = [message.split(": ")[1].split(", ") for message, _, _ in expected]
-            reach = bruteforce.warshall_reachability(onto.direct_parents)
+            reach = bruteforce.reachability(onto.direct_parents)
             if any(len(cycle) >= 3 for cycle in cycles):
                 shapes.add("3 or more classes")
             if any(a is not b and b[0] in reach[a[0]] for a in cycles for b in cycles):
