@@ -3,7 +3,7 @@
 Subcommands: check, query, export-dot, stats, merge, ingest. Diagnostics go
 to stderr as `<file>:<line>: <severity> <CODE> <message>`; data goes to
 stdout so pipelines can consume query and DOT output cleanly. Exit codes:
-0 clean, 1 error diagnostics, 2 usage or I/O failure.
+0 clean, 1 error diagnostics, 2 usage or I/O failure, or out of memory.
 """
 
 from __future__ import annotations
@@ -225,9 +225,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass  # Printed below, once the traceback and the ontology its frames hold are freed.
     finally:
         if collecting:
             gc.enable()
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 def main() -> None:

@@ -266,34 +266,20 @@ class FacetSpec:
 
 
 def _variant(cls: type) -> type:
-    """Make an axiom variant a slotted frozen dataclass, as `Axiom` is, whose
-    `__init__` sets each slot through its member descriptor rather than by
-    `object.__setattr__`: well under half the cost. It keeps the generated
-    one's parameters, defaults and annotations.
-
-    The same `exec` writes the variant's `make(*fields, file, line)`, which
-    takes every field positionally, with no default, and builds the axiom
-    by `object.__new__` and the same slot sets: no `type.__call__` and no
-    keyword parsing, for the loaders that build an axiom per line or row."""
+    """Make an axiom variant a slotted frozen dataclass, as `Axiom` is, and
+    give it `make(*fields, file, line)`: the generated `__init__`'s
+    parameters, all positional and with no default. `make` builds the axiom
+    by `object.__new__` and one member-descriptor set per slot, with no
+    `type.__call__`, no keyword parsing and no `object.__setattr__`, for the
+    loaders that build an axiom per line or row."""
     cls = dataclass(frozen=True, slots=True)(cls)
-    generated = cls.__init__
-    code = generated.__code__
-    n = code.co_argcount  # `self` and the positional fields; keyword-only ones follow
-    params = code.co_varnames[: n + code.co_kwonlyargcount]
-    env = {f"_set_{name}": getattr(cls, name).__set__ for name in params[1:]}
+    code = cls.__init__.__code__
+    params = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
+    env = {f"_set_{name}": getattr(cls, name).__set__ for name in params}
     env.update(_new=object.__new__, _cls=cls)
-    signature = ", ".join([*params[:n], "*", *params[n:]])
-    body = "".join(f"    _set_{name}(self, {name})\n" for name in params[1:])
-    exec(
-        f"def __init__({signature}):\n{body}"
-        f"def make({', '.join(params[1:])}):\n    self = _new(_cls)\n{body}    return self\n",
-        env,
-    )
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in params)
+    exec(f"def make({', '.join(params)}):\n    self = _new(_cls)\n{body}    return self\n", env)
     cls.make = staticmethod(env["make"])
-    init = env["__init__"]
-    init.__defaults__, init.__kwdefaults__ = generated.__defaults__, generated.__kwdefaults__
-    init.__annotations__ = generated.__annotations__
-    cls.__init__ = init
     return cls
 
 

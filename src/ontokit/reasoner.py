@@ -204,7 +204,9 @@ class _AssertionIndex(dict):
             assertions, target = self.o.data_assertions, attrgetter("value")
         else:
             raise KeyError(prop)
-        # Positions, not masks: a mask per individual would hold n²/2 bits.
+        # One mask per distinct object, as wide as its highest subject's
+        # position: with objects and subjects both growing with the
+        # individuals, the index grows quadratically in memory at scale.
         position = self.position
         targets = self[prop] = {}
         for ax in assertions:

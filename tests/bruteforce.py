@@ -37,16 +37,21 @@ _NUMBER_POOL = ["1", "1.0", "-3.25", "100", "2e3", "0.5", "42"]
 _DATETIME_POOL = ["2021-05-01", "1999-12-31", "2020-02-29T12:30:00"]
 
 
+def _nodes(direct_parents: dict[str, frozenset[str]]) -> set[str]:
+    """Every class the edges name, as a child or as a parent, and the root."""
+    nodes = set(direct_parents) | {THING}
+    for parents in direct_parents.values():
+        nodes |= set(parents)
+    return nodes
+
+
 def reachability(direct_parents: dict[str, frozenset[str]]) -> dict[str, set[str]]:
     """Strict reachability over child->parent edges: for each class, every
     class one or more edges up from it, found by its own walk up. A class
     on a cycle reaches itself. Quadratic at worst, where a matrix closure is
     cubic."""
-    nodes = set(direct_parents) | {THING}
-    for parents in direct_parents.values():
-        nodes |= set(parents)
     reach = {}
-    for n in nodes:
+    for n in _nodes(direct_parents):
         seen: set[str] = set()
         stack = list(direct_parents.get(n, ()))
         while stack:
@@ -59,15 +64,32 @@ def reachability(direct_parents: dict[str, frozenset[str]]) -> dict[str, set[str
 
 
 def transitive_reduction(direct_parents: dict[str, frozenset[str]]) -> set[tuple[str, str]]:
-    """(parent, child) pairs of the hierarchy's transitive reduction: every
-    strict ancestor with no third class between it and the child."""
-    reach = reachability(direct_parents)
-    return {
-        (a, c)
-        for c, ancestors in reach.items()
-        for a in ancestors
-        if not any(a in reach[b] for b in ancestors)
-    }
+    """(parent, child) pairs of an acyclic hierarchy's transitive reduction,
+    by definition: `a` is a parent of `c` there when the longest path from
+    `c` up to `a` is one edge long, so no third class lies between them.
+    Each class's longest paths come from its own walk up, so the whole is
+    quadratic at worst."""
+    pairs = set()
+    for c in _nodes(direct_parents):
+        # The walk up from `c` lists each class after every class above it.
+        below_first, seen = [], {c}
+        stack = [(c, iter(direct_parents.get(c, ())))]
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append((p, iter(direct_parents.get(p, ()))))
+                    break
+            else:
+                below_first.append(stack.pop()[0])
+        below_first.reverse()
+        longest = dict.fromkeys(below_first, 0)
+        for node in below_first:
+            for p in direct_parents.get(node, ()):
+                longest[p] = max(longest[p], longest[node] + 1)
+        pairs.update((a, c) for a, length in longest.items() if length == 1)
+    return pairs
 
 
 def walk_types(onto: Ontology, individual: str) -> set[str]:

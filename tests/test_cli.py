@@ -8,6 +8,7 @@ import io
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -462,6 +463,86 @@ class TestUsageErrors:
         argv = ["ingest", *corpus_files, "--csv", str(csv_path), "--class", "Species"]
         assert run([*argv, "--map", "year=has_date_of_origin", "-o", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+class TestOutOfMemory:
+    """A command that runs out of memory ends with one stderr line and exit
+    2, printed once the objects its frames held are freed, and writes no
+    `-o` file."""
+
+    def test_memory_error_in_any_command(self, tmp_path, monkeypatch, capsys):
+        a = write(tmp_path / "a.oft", "class A\n")
+        rows = write(tmp_path / "rows.csv", "id\n")
+        out = str(tmp_path / "out.oft")
+        held = []
+
+        class Ontology:
+            """Stands for what a command holds when memory runs out."""
+
+        def exhausted(args):
+            ontology = Ontology()
+            held.append(weakref.ref(ontology))
+            raise MemoryError
+
+        def printed(*values, **kwargs):
+            freed.append(all(ref() is None for ref in held))
+            print(*values, **kwargs)
+
+        freed = []
+        monkeypatch.setattr(cli, "print", printed, raising=False)
+        for argv in [
+            ["check", a],
+            ["query", a, "-q", "A"],
+            ["export-dot", a, "--inferred"],
+            ["stats", a],
+            ["merge", a, a, "-o", out],
+            ["ingest", a, "--csv", rows, "--class", "A", "--map", "id=p", "-o", out],
+        ]:
+            # `run` looks the command up at each call, so the replaced one runs.
+            monkeypatch.setattr(cli, "_cmd_" + argv[0].replace("-", "_"), exhausted)
+            assert run(argv) == 2
+            assert capsys.readouterr() == ("", "error: out of memory\n")
+        assert len(held) == 6 and freed == [True] * 6
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.oft", "rows.csv"]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads the process size from /proc")
+    def test_a_capped_child_runs_out_of_memory(self, tmp_path):
+        """Each command runs in a child that caps its own address space 12 MB
+        above its size once the CLI is imported, and loads a file that needs
+        several times that."""
+        n = 20000
+        lines = ["objprop r", "dataprop p type number"]
+        for i in range(n):
+            lines += [f"class C{i}" + (f" sub C{i - 1}" if i else "")]
+            lines += [f"individual i{i} type C{i}", f"rel i{i} r i{i * 7 % n}"]
+        big = write(tmp_path / "big.oft", "\n".join(lines) + "\n")
+        rows = write(tmp_path / "rows.csv", "id,x\nq,1\n")
+        out = tmp_path / "out.oft"
+        capped = (
+            "import resource, sys, ontokit.cli\n"
+            "status = open('/proc/self/status').read().splitlines()\n"
+            "size = int(next(s for s in status if s.startswith('VmSize:')).split()[1]) * 1024\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + 12 * 2**20, hard))\n"
+            "sys.exit(ontokit.cli.run(sys.argv[1:]))\n"
+        )
+        src = str(Path(ontokit.__file__).resolve().parents[1])
+        for argv in [
+            ["ingest", big, "--csv", rows, "--class", "C0", "--map", "x=p", "-o", str(out)],
+            ["query", big, "-q", "r some C0"],
+        ]:
+            result = subprocess.run(
+                [sys.executable, "-c", capped, *argv],
+                env={**os.environ, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+            )
+            assert (result.returncode, result.stdout, result.stderr) == (
+                2,
+                "",
+                "error: out of memory\n",
+            )
         assert not out.exists()
 
 

@@ -161,6 +161,33 @@ class TestExportDot:
             drawn = dot_edges(export_dot(onto, closure, inferred=True))
             assert drawn == bruteforce.transitive_reduction(onto.direct_parents)
 
+    def test_reduction_oracle_matches_the_between_definition(self):
+        """On any DAG, an edge of the transitive reduction joins a class to
+        a strict ancestor with no third class between them: no other
+        ancestor of the class reaches it. A class that only appears as a
+        parent is a node, and a drawn edge may be redundant."""
+        rng = random.Random(41)
+        redundant = 0
+        for _ in range(150):
+            names = [f"C{i}" for i in range(rng.randint(1, 40))]
+            density = rng.choice((0.5, 1.5, 3.0)) / len(names)
+            # Parents come from earlier names, so the graph is acyclic.
+            parents = {
+                a: frozenset(b for b in names[:i] if rng.random() < density)
+                for i, a in enumerate(names)
+                if rng.random() < 0.9
+            }
+            reach = bruteforce.reachability(parents)
+            expected = {
+                (a, c)
+                for c, ancestors in reach.items()
+                for a in ancestors
+                if not any(a in reach[b] for b in ancestors)
+            }
+            assert bruteforce.transitive_reduction(parents) == expected
+            redundant += len(expected) < sum(map(len, parents.values()))
+        assert 0 < redundant < 150  # graphs with and without a redundant edge both occur
+
 
 INGEST_BASE = """\
 class Dates
