@@ -10,7 +10,8 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain, compress, filterfalse, repeat
+from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
 from .model import (
@@ -27,12 +28,14 @@ from .model import (
     E_UNKNOWN_REF,
     FacetSpec,
     Fault,
+    IDENT_RE,
     IndividualDecl,
     Kind,
     Literal,
     Ontology,
     THING,
     ValueType,
+    _refers_soundly,
     build_ontology,
     error,
     is_ident,
@@ -111,6 +114,36 @@ def _parse_cell(cell: str, facet: FacetSpec) -> Optional[Literal]:
     return None
 
 
+def _clean_rows(
+    o: Ontology, rows: list[tuple[int, list[str]]], columns: dict[str, int],
+    target: str, column_map: Sequence[tuple[str, str]], file: str,
+) -> Optional[list[Axiom]]:
+    """The axioms of the rows after the header when they pass every test of
+    the row walk in bulk, each column's distinct cells parsed once; else None."""
+    lines, body = list(map(itemgetter(0), rows[1:])), list(map(itemgetter(1), rows[1:]))
+    ids = [row[columns["id"]] for row in body if len(row) == len(rows[0][1])]
+    text = "".join(chain.from_iterable(body))
+    single = [p for _, p in column_map if o.facets[p].cardinality is Cardinality.SINGLE]
+    if (
+        len(ids) < len(body) or "\n" in text or "\r" in text or len(set(single)) < len(single)
+        or not all(map(IDENT_RE.match, ids)) or len(set(ids)) < len(ids)
+        or not o.symbols.keys().isdisjoint(ids)
+    ):
+        return None
+    axioms = list(map(IndividualDecl.make, ids, repeat((target,)), repeat(file), lines))
+    for header, prop in column_map:
+        cells = list(map(itemgetter(columns[header]), body))
+        literals = {cell: _parse_cell(cell, o.facets[prop]) for cell in set(cells) - {""}}
+        if None in literals.values():
+            return None
+        values = map(literals.__getitem__, filter(None, cells))
+        axioms += map(DataAssertion.make, compress(ids, cells), repeat(prop), values, repeat(file),
+                      compress(lines, cells))
+    # Stable: each row's declaration, then its values in column-map order.
+    axioms.sort(key=attrgetter("line"))
+    return axioms
+
+
 def ingest_csv(
     o: Ontology,
     csv_text: str,
@@ -121,10 +154,11 @@ def ingest_csv(
     """Turn CSV rows into individuals of `target_class` with data assertions.
 
     The first row is the header; the `id` column names each individual. Cells
-    parse according to the mapped property's facet value type, each distinct
-    cell once per call. A row gives a single-cardinality property at most one
-    value: each later one is an `E_CARD_SINGLE` error. Any diagnostic
-    suppresses the whole result (no partial axiom lists).
+    parse according to the mapped property's facet value type. A row gives a
+    single-cardinality property at most one value: each later one is an
+    `E_CARD_SINGLE` error. Any diagnostic suppresses the whole result (no
+    partial axiom lists). The rows are tested in bulk first (`_clean_rows`);
+    only when a test fails are they walked row by row to place the findings.
     """
     diags: list[Diagnostic] = []
     if o.symbols.get(target_class) is not Kind.CLASS:
@@ -166,6 +200,9 @@ def ingest_csv(
     if diags:
         return [], sort_diagnostics(diags)
 
+    clean = _clean_rows(o, rows, columns, target_class, column_map, file_name)
+    if clean is not None:
+        return clean, []
     axioms: list[Axiom] = []
     seen_ids: set[str] = set()
     # One literal per distinct (property, cell); cells repeat a few values.
@@ -266,9 +303,11 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
     conflicting axioms are dropped and reported, each key once, at its first
     axiom. The union is a's axioms followed by the second ontology's
     survivors, by variant in tag order and each variant in axiom order, and
-    only the survivors are checked again. A cycle introduced by the union is
-    reported as a conflict on the otherwise-complete result. Raises
-    ValueError when `name` is not an identifier.
+    only the survivors are checked again, each variant's new keys as one
+    group; only a failing group is walked axiom by axiom, to place its
+    findings. A cycle introduced by the union is reported as a conflict on
+    the otherwise-complete result. Raises ValueError when `name` is not an
+    identifier.
     """
     if not is_ident(name):
         raise ValueError(f"invalid ontology name {name!r}")
@@ -281,19 +320,31 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
     survivors: list[Axiom] = []
     conflicts: list[Diagnostic] = []
     for variant in sorted(b.by_variant, key=attrgetter("tag")):
-        seen = set(map(variant.key, a.by_variant.get(variant, ())))
-        for ax in b.by_variant[variant]:
-            key = variant.key(ax)
-            if key in seen or variant.implicit is not None and variant.implicit(ax):
-                continue
-            seen.add(key)
+        group = b.by_variant[variant]
+        if variant.implicit is not None:
+            group = list(filterfalse(variant.implicit, group))
+        # Each key that a lacks, at its first axiom in b, in axiom order.
+        keys = list(map(variant.key, group))
+        fresh = dict(zip(keys, group))
+        fresh.update(zip(reversed(keys), reversed(group)))
+        for key in fresh.keys() & map(variant.key, a.by_variant.get(variant, ())):
+            del fresh[key]
+        group, kind = list(fresh.values()), variant.declares
+        names = list(map(attrgetter("name"), group)) if kind is not None else []
+        if group and set(map(a.symbols.get, names)) <= {None, kind} and (
+            variant.contract_clash is Axiom.contract_clash and _refers_soundly(group, symbols)
+        ):
+            survivors += group
+            symbols.update(dict.fromkeys(names, kind))
+            continue
+        for ax in group:
             conflict = _conflict(ax, a, symbols)
             if conflict is not None:
                 conflicts.append(conflict.diagnostic(ax.file, ax.line))
                 continue
             survivors.append(ax)
-            if variant.declares is not None:
-                symbols.setdefault(ax.name, variant.declares)
+            if kind is not None:
+                symbols.setdefault(ax.name, kind)
 
     merged, build_diags = build_ontology(name, survivors, base=a)
     if merged is None:

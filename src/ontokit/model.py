@@ -15,7 +15,7 @@ from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, filterfalse
 from operator import attrgetter
 from typing import Any, Callable, ClassVar, Hashable, Iterable, Iterator, Optional, Sequence
 
@@ -301,17 +301,16 @@ class Axiom:
     tag: ClassVar[int]  # the variant's place in the canonical order
     #: Location-free identity within the variant: duplicates and merging.
     key: ClassVar[Callable[[Any], Hashable]]
-    #: Canonical order within the variant, one string: unlike a tuple, it is
-    #: not tracked by the cyclic collector and compares in one C call.
-    #: Distinct keys of a built ontology have distinct orders. A property's
-    #: declarations all have one key there (a re-declaration with another
-    #: contract does not build), so its name orders them. Otherwise it joins
-    #: the fields by a blank (a list's names by ", ", a literal as its
-    #: `_order`), in the fields' tuple order: names hold neither a blank nor
-    #: a comma and both sort below every identifier character, no value-type
-    #: keyword is a prefix of another, and the lexical form, which may hold
-    #: any character, is compared only after an equal prefix.
-    order: ClassVar[Callable[[Any], str]]
+    #: Canonical order within the variant, or None to sort by the written
+    #: line: a line holds the key's fields in their tuple order after the
+    #: variant's keyword, and names hold neither a blank nor a comma, both
+    #: of which sort below every identifier character. Two variants write a
+    #: key more than one way (`1` and `1.0`, `allowed` lists in two orders)
+    #: and keep an `order`: a data property's declarations share one key in
+    #: a built ontology, so its name orders them; a data assertion joins its
+    #: fields by a blank, the literal as its `"<value type> <lexical>"`, and
+    #: no value-type keyword is a prefix of another.
+    order: ClassVar[Optional[Callable[[Any], str]]] = None
     #: Whether an axiom only restates the implicit root, which files never
     #: need to write; None when no axiom of the variant does.
     implicit: ClassVar[Optional[Callable[[Any], bool]]] = None
@@ -364,7 +363,7 @@ class ClassDecl(Axiom):
 
     tag = 0
     declares = Kind.CLASS
-    key = order = attrgetter("name")
+    key = attrgetter("name")
     implicit = staticmethod(lambda ax: ax.name == THING)
 
     def to_oft(self) -> str:
@@ -378,7 +377,6 @@ class SubClassOf(Axiom):
 
     tag = 1
     key = attrgetter("child", "parent")
-    order = staticmethod(lambda ax: f"{ax.child} {ax.parent}")
     refers = (("child", Kind.CLASS), ("parent", Kind.CLASS))
     implicit = staticmethod(lambda ax: ax.parent == THING)
 
@@ -403,7 +401,6 @@ class ObjPropDecl(Axiom):
     tag = 2
     declares = Kind.OBJECT_PROPERTY
     key = attrgetter("name", "domain", "range")
-    order = attrgetter("name")
     refers = (("domain", Kind.CLASS), ("range", Kind.CLASS))
 
     def contract_clash(self, first: ObjPropDecl) -> Optional[Fault]:
@@ -459,7 +456,6 @@ class IndividualDecl(Axiom):
     tag = 4
     declares = Kind.INDIVIDUAL
     key = attrgetter("name", "types")
-    order = staticmethod(lambda ax: f"{ax.name} {', '.join(ax.types)}")
     refers = (("types", Kind.CLASS),)
 
     def fault(self) -> Optional[Fault]:
@@ -479,7 +475,6 @@ class ObjAssertion(Axiom):
 
     tag = 5
     key = attrgetter("subject", "prop", "object")
-    order = staticmethod(lambda ax: f"{ax.subject} {ax.prop} {ax.object}")
     refers = (
         ("subject", Kind.INDIVIDUAL),
         ("prop", Kind.OBJECT_PROPERTY),
@@ -504,7 +499,7 @@ class DataAssertion(Axiom):
     refers = (("subject", Kind.INDIVIDUAL), ("prop", Kind.DATA_PROPERTY))
 
     def to_oft(self) -> str:
-        return f"attr {self.subject} {self.prop} {self.value.to_oft()}"
+        return f"attr {self.subject} {self.prop} {self.value._text}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -693,20 +688,27 @@ def build_ontology(
     return onto, []
 
 
-def canonical_axioms(o: Ontology) -> list[Axiom]:
-    """Deduplicated, deterministically ordered axiom list.
-
-    Implicit-root bookkeeping (Thing declarations and edges into Thing) is
-    excluded; duplicates keep their first occurrence. The variants follow
-    in tag order, each sorted by its own `order`. The result is stable
-    across calls and process runs.
-    """
-    result: list[Axiom] = []
+def canonical_groups(o: Ontology) -> Iterator[tuple[Iterable[str], Iterable[Axiom]]]:
+    """Each variant's canonical lines and axioms, in tag order: implicit-root
+    bookkeeping (Thing declarations and edges into Thing) left out, each
+    duplicate's first occurrence kept, sorted by the written line or, where
+    the variant has one, by `key` and `order`. What the sort did not need
+    comes lazily. The result is stable across calls and process runs."""
     for variant in sorted(o.by_variant, key=attrgetter("tag")):
         group = o.by_variant[variant]
         if variant.implicit is not None:
-            group = tuple(ax for ax in group if not variant.implicit(ax))
-        # Read backwards, so each key keeps its first occurrence.
-        first = dict(zip(map(variant.key, reversed(group)), reversed(group)))
-        result += sorted(first.values(), key=variant.order)
-    return result
+            group = list(filterfalse(variant.implicit, group))
+        # Read backwards, so each line or key keeps its first occurrence.
+        if variant.order is None:
+            first = dict(zip(map(variant.to_oft, reversed(group)), reversed(group)))
+            lines = sorted(first)
+            yield lines, map(first.__getitem__, lines)
+        else:
+            first = dict(zip(map(variant.key, reversed(group)), reversed(group)))
+            axioms = sorted(first.values(), key=variant.order)
+            yield map(variant.to_oft, axioms), axioms
+
+
+def canonical_axioms(o: Ontology) -> list[Axiom]:
+    """Deduplicated, deterministically ordered axiom list (`canonical_groups`)."""
+    return list(chain.from_iterable(axioms for _, axioms in canonical_groups(o)))

@@ -33,7 +33,7 @@ from .model import (
     SubClassOf,
     ValueType,
     build_ontology,
-    canonical_axioms,
+    canonical_groups,
     is_datetime,
     sort_diagnostics,
 )
@@ -320,6 +320,15 @@ def _parse_dataprop(
     return DataPropDecl(name, facet, domain, file=file_name, line=ln)
 
 
+class _Literals(dict):
+    """Each (value type, lexical form)'s literal, built on its first read; a
+    `ValueError` of `Literal` propagates and stores nothing."""
+
+    def __missing__(self, key: tuple[ValueType, str]) -> Literal:
+        value = self[key] = Literal(*key)
+        return value
+
+
 class _Reader:
     """What parsing one OFT file has found so far."""
 
@@ -332,18 +341,13 @@ class _Reader:
         self.name = "unnamed"
         self.have_header = False
         self.declared_classes: set[str] = set()
-        self.literals: dict[tuple[ValueType, str], Literal] = {}
+        self.literals = _Literals()
         self.axioms: list[Axiom] = []
         self.diagnostics: list[Diagnostic] = []
 
     def literal(self, value_type: ValueType, lexical: str) -> Literal:
-        """The literal of a value type and lexical form, built once per file:
-        values repeat, and literals are immutable. Raises `ValueError`, and
-        stores nothing, when `Literal` rejects the value."""
-        lit = self.literals.get((value_type, lexical))
-        if lit is None:
-            lit = self.literals[value_type, lexical] = Literal(value_type, lexical)
-        return lit
+        """`literals[value_type, lexical]`, for the token path."""
+        return self.literals[value_type, lexical]
 
     def class_line(self, cls: str, parents: Iterable[str], ln: int) -> None:
         """A `class` line, matched by `_LINE` or read by the token path,
@@ -365,7 +369,7 @@ class _Reader:
         axioms or reports the fault."""
         # A line's final CR goes: the one before each LF, and one at the end.
         source = source.replace("\r\n", "\n").removesuffix("\r")
-        file, append, literal = self.file, self.axioms.append, self.literal
+        file, append, literals = self.file, self.axioms.append, self.literals
         rel, attr, individual = ObjAssertion.make, DataAssertion.make, IndividualDecl.make
         for ln, m in enumerate(_LINE.finditer(source), 1):
             head = m.lastgroup
@@ -376,7 +380,7 @@ class _Reader:
                 if head == "string" and "\\" in lexical:
                     lexical = _ESCAPE.sub(r"\1", lexical)
                 try:
-                    value = literal(LITERAL_KINDS[head], lexical)
+                    value = literals[LITERAL_KINDS[head], lexical]
                 except ValueError:  # a line break, a number out of range, not a date
                     self.token_line(m[0].rstrip("\n"), ln)
                     continue
@@ -462,7 +466,8 @@ def serialize_oft(o: Ontology) -> str:
     axiom set exactly.
     """
     lines = [f"ontology {o.name}"]
-    lines.extend(ax.to_oft() for ax in canonical_axioms(o))
+    for written, _ in canonical_groups(o):
+        lines += written
     return "\n".join(lines) + "\n"
 
 

@@ -93,9 +93,9 @@ def validate(
             (E_RANGE, "range", o.ranges.get(prop), _OBJECT),
         ):
             # One test of the group's names; a walk only to find the outsiders.
-            if cls is not None and not members[cls].issuperset(map(name, group)):
+            if cls is not None and not (inside := members[cls]).issuperset(map(name, group)):
                 for ax in group:
-                    if name(ax) not in members[cls]:
+                    if name(ax) not in inside:
                         message = f"{name(ax)} is outside the {what} {cls} of {prop}"
                         diags.append(ax.error(code, message))
 
