@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -156,15 +156,28 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's formatter, dropping its sections once its text is
+    formatted: each section refers back to it and to its parent, so a usage
+    error or a help text would otherwise leave them to the cyclic collector."""
+
+    def format_help(self) -> str:
+        text = super().format_help()
+        self._root_section.items.clear()  # its nested sections refer back to it
+        self._root_section = self._current_section = None
+        return text
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first `run` of the process
     and kept: each parser is a few hundred objects in reference cycles."""
-    parser = argparse.ArgumentParser(
+    parser_class = partial(argparse.ArgumentParser, formatter_class=_Formatter)
+    parser = parser_class(
         prog="ontokit",
         description="Parse, validate, query, export, and merge OFT ontology files.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     check = sub.add_parser("check", help="parse, build, and validate")
     check.add_argument("files", nargs="+")

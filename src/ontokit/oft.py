@@ -62,26 +62,6 @@ _SPECIAL_KINDS = frozenset({"end", "word", "quoted", "closed"})
 _INVALID_ESCAPE = re.compile(r'(?:[^\\]|\\["\\])*\\([^"\\])', re.S)
 _ESCAPE = re.compile(r"\\(.)", re.S)
 
-# The lexical syntax that the token patterns and the OFT line pattern
-# share. `stop` is a language's punctuation and comment characters, escaped.
-
-
-def _word_end(stop: str) -> str:
-    """Lookahead for the end of a word: a blank, a quote, a stop character
-    or the end of the text."""
-    return rf'(?=[ \t"{stop}]|\Z)'
-
-
-def _ident(stop: str, keywords: tuple[str, ...] = ()) -> str:
-    """An identifier that is not a reserved word; a word end must follow it."""
-    reserved = "|".join((BOOLEANS,) + keywords)
-    return rf"(?!(?:{reserved}){_word_end(stop)}){IDENT}"
-
-
-def _word(kind: str, stop: str) -> str:
-    """A whole word of any other shape, in group `kind`."""
-    return rf'(?P<{kind}>[^ \t"{stop}]+)'
-
 
 def token_pattern(
     punctuation: dict[str, str], keywords: tuple[str, ...] = (), comment: str = ""
@@ -98,9 +78,10 @@ def token_pattern(
     blanks at the end of the text, so no character is skipped unseen.
     """
     stop = re.escape("".join(punctuation) + comment)
-    end = _word_end(stop)
+    end = rf'(?=[ \t"{stop}]|\Z)'  # a blank, a quote, a stop character or the end
+    reserved = "|".join((BOOLEANS,) + keywords)
     alternatives = [
-        rf"(?P<ident>{_ident(stop, keywords)}){end}",
+        rf"(?P<ident>(?!(?:{reserved}){end}){IDENT}){end}",
         *(f"(?P<{kind}>{re.escape(ch)})" for ch, kind in punctuation.items()),
         r'"(?P<quoted>[^"\\]*(?:\\.[^"\\]*)*)(?P<closed>")?',
         rf"(?P<boolean>{BOOLEANS}){end}",
@@ -109,7 +90,7 @@ def token_pattern(
         alternatives.append(rf"(?P<keyword>{'|'.join(keywords)}){end}")
     alternatives += [
         rf"(?P<number>{NUMBER}){end}",
-        _word("word", stop),
+        rf'(?P<word>[^ \t"{stop}]+)',
         rf"(?P<end>{re.escape(comment) + '|' if comment else ''}\Z)",
     ]
     return re.compile(rf"[ \t]*(?:{'|'.join(alternatives)})", re.S)
@@ -140,7 +121,7 @@ def scan(
                 raise fault(f"invalid escape \\{bad.group(1)}", col + bad.end() - 1)
             if kind != "closed":
                 raise fault("unterminated string", col)
-            tokens.append(("string", _ESCAPE.sub(r"\1", body), col))
+            tokens.append(("string", _ESCAPE.sub(r"\1", body) if "\\" in body else body, col))
     return tokens
 
 
@@ -152,33 +133,29 @@ _OFT_TOKENS = token_pattern(_OFT_PUNCTUATION, comment=_OFT_COMMENT)
 def _line_pattern() -> re.Pattern[str]:
     """Compile the pattern of one line of OFT text and its line break, for
     `finditer` over a whole text. `lastgroup` tells what the line is:
-    `object` for a well-formed `rel` line, the value's kind for an `attr`
-    line, `individual` or `class` for those heads, None for a blank or
-    comment line, and `other`, the whole line, for any other.
+    `object` for a well-formed `rel` line, `value` for an `attr` line,
+    `individual` or `class` for those heads, None for a blank or comment
+    line, and `other`, the whole line, for any other. The other groups are
+    read by number: 2 and 3 the subject and property of both assertions,
+    7 and 8 the individual and its types, 10 and 11 the class and its
+    parents.
 
-    Words, literals and separators are those of `_OFT_TOKENS`, with the line
-    break as one more stop character. A string may hold only the escapes
-    `\\"` and `\\\\`; a value word that is neither a boolean nor a number is
-    taken as a date-time, which `Literal` checks.
+    A name is an identifier that is not a reserved word; the blank, comma,
+    comment or line end that must follow it ends it. An `attr` value is one
+    raw word or string, with the token pattern's word ends and LF as one
+    more; a string may hold only the escapes `\\"` and `\\\\`. `_Values`
+    classifies each distinct value text with the token scanner, so the
+    literal grammar is written only in `token_pattern`.
     """
     stop = re.escape("".join(_OFT_PUNCTUATION) + _OFT_COMMENT) + r"\n"
-    end = _word_end(stop)
-    # A blank, a comma or the end of the line follows every name, so each
-    # is a whole word.
-    name = _ident(stop)
+    name = rf"(?!(?:{BOOLEANS})(?![A-Za-z0-9_])){IDENT}"
     names = rf"{name}(?:[ \t]*,[ \t]*{name})*"
-    value = "|".join([
-        r'"(?P<string>[^"\\\n]*(?:\\["\\][^"\\\n]*)*)"',
-        rf"(?P<boolean>{BOOLEANS}){end}",
-        rf"(?P<number>{NUMBER}){end}",
-        _word("datetime", stop),
-    ])
     heads = "|".join([
         # Both assertions name a subject and a property before their object.
-        rf"(?:(?P<rel>rel)|attr)[ \t]+(?P<subject>{name})[ \t]+(?P<prop>{name})[ \t]+"
-        rf"(?(rel)(?P<object>{name})|(?:{value}))",
-        rf"(?P<individual>individual[ \t]+(?P<name>{name})[ \t]+type[ \t]+(?P<types>{names}))",
-        rf"(?P<class>class[ \t]+(?P<cls>{name})(?:[ \t]+sub[ \t]+(?P<parents>{names}))?)",
+        rf"(?:(rel)|attr)[ \t]+({name})[ \t]+({name})[ \t]+(?(1)(?P<object>{name})|"
+        rf'(?P<value>"[^"\\\n]*(?:\\["\\][^"\\\n]*)*"|[^ \t"{stop}]+))',
+        rf"(?P<individual>individual[ \t]+({name})[ \t]+type[ \t]+({names}))",
+        rf"(?P<class>class[ \t]+({name})(?:[ \t]+sub[ \t]+({names}))?)",
     ])
     comment = rf"(?:{re.escape(_OFT_COMMENT)}[^\n]*)?"
     return re.compile(
@@ -329,11 +306,31 @@ class _Literals(dict):
         return value
 
 
+class _Values(dict):
+    """Each raw `attr` value text's literal, the text read once by the token
+    scanner and the literal taken from `literals`; None when the text is not
+    one literal token or `Literal` rejects it, so that the line goes to the
+    token path, which reports the fault."""
+
+    def __init__(self, literals: _Literals):
+        self.literals = literals
+
+    def __missing__(self, text: str) -> Optional[Literal]:
+        try:
+            [(kind, lexical, _)] = scan(_OFT_TOKENS, text, SyntaxFault)
+            value = self.literals[LITERAL_KINDS[kind], lexical]
+        except (ValueError, KeyError):  # a fault, not one token, a rejected or no literal
+            value = None
+        self[text] = value
+        return value
+
+
 class _Reader:
     """What parsing one OFT file has found so far."""
 
     __slots__ = (
-        "file", "name", "have_header", "declared_classes", "literals", "axioms", "diagnostics"
+        "file", "name", "have_header", "declared_classes", "literals", "values", "axioms",
+        "diagnostics",
     )
 
     def __init__(self, file_name: str):
@@ -342,6 +339,7 @@ class _Reader:
         self.have_header = False
         self.declared_classes: set[str] = set()
         self.literals = _Literals()
+        self.values = _Values(self.literals)
         self.axioms: list[Axiom] = []
         self.diagnostics: list[Diagnostic] = []
 
@@ -364,36 +362,32 @@ class _Reader:
         `_LINE` after CRLF ends become LF. A blank or comment line holds
         none. A well-formed `rel`, `attr`, `individual` or `class` line
         builds its axioms from the match's groups; every other line (any
-        other statement, a malformed one) and one whose literal is not
-        representable goes through `token_line`, which finds the same
-        axioms or reports the fault."""
+        other statement, a malformed one) and an `attr` line whose value
+        text `values` holds no literal for goes through `token_line`, which
+        finds the same axioms or reports the fault."""
         # A line's final CR goes: the one before each LF, and one at the end.
         source = source.replace("\r\n", "\n").removesuffix("\r")
-        file, append, literals = self.file, self.axioms.append, self.literals
+        file, append, values = self.file, self.axioms.append, self.values
         rel, attr, individual = ObjAssertion.make, DataAssertion.make, IndividualDecl.make
         for ln, m in enumerate(_LINE.finditer(source), 1):
             head = m.lastgroup
             if head == "object":  # a `rel` line
-                append(rel(*m.group("subject", "prop", "object"), file, ln))
-            elif head in LITERAL_KINDS:  # an `attr` line: `head` is its value's kind
-                lexical = m[head]
-                if head == "string" and "\\" in lexical:
-                    lexical = _ESCAPE.sub(r"\1", lexical)
-                try:
-                    value = literals[LITERAL_KINDS[head], lexical]
-                except ValueError:  # a line break, a number out of range, not a date
+                append(rel(m[2], m[3], m[4], file, ln))
+            elif head == "value":  # an `attr` line
+                value = values[m[5]]
+                if value is None:
                     self.token_line(m[0].rstrip("\n"), ln)
-                    continue
-                append(attr(*m.group("subject", "prop"), value, file, ln))
+                else:
+                    append(attr(m[2], m[3], value, file, ln))
             elif head == "individual":
-                names = m["types"]
+                names = m[8]
                 types = tuple(_SPLIT_NAMES(names)) if "," in names else (names,)
-                append(individual(m["name"], types, file, ln))
+                append(individual(m[7], types, file, ln))
             elif head == "class":
-                cls, parents = m.group("cls", "parents")
+                parents = m[11]
                 if parents is not None:  # the split costs more than the test
                     parents = _SPLIT_NAMES(parents) if "," in parents else (parents,)
-                self.class_line(cls, parents or (), ln)
+                self.class_line(m[10], parents or (), ln)
             elif head == "other":
                 self.token_line(m[head], ln)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import io
@@ -655,6 +656,22 @@ class TestCollectorPause:
             assert run(argv) == 0, argv
             assert gc.collect() == 0, argv[0]
         capsys.readouterr()
+
+    def test_usage_errors_and_help_leave_no_cycles(self, capsys, monkeypatch):
+        """A usage error of the top-level parser or of a subcommand, and a
+        help text, leave nothing for a collection to find, and print the
+        same bytes as argparse's own formatter."""
+        cli._parser()
+        for argv, code in (["frobnicate"], 2), (["check"], 2), (["-h"], 0), (["check", "-h"], 0):
+            gc.collect()
+            assert run(argv) == code
+            assert gc.collect() == 0, argv
+            printed = capsys.readouterr()
+            with monkeypatch.context() as stock:
+                stock.setattr(cli._Formatter, "format_help", argparse.HelpFormatter.format_help)
+                assert run(argv) == code
+            assert printed == capsys.readouterr()
+            assert (printed.err if code else printed.out).startswith("usage: ontokit")
 
 
 class TestLazyViews:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from ontokit import cli
+from ontokit import cli, oft
 from ontokit.corpus import corpus_paths
 from ontokit.dlquery import Named, QueryMode, eval_query
 from ontokit.exchange import export_dot
@@ -252,6 +252,22 @@ class TestLiteralTable:
             assert len({id(v) for v in literals}) == 6
             # Equal values with different lexical forms stay distinct objects.
             assert literals[1] == literals[2] and literals[1] is not literals[2]
+
+    def test_each_value_text_is_scanned_once(self, monkeypatch):
+        """600 `attr` lines holding 6 distinct value texts scan each text
+        once, and unescape only the 2 escaped strings."""
+        values = ['"honey"', '"a\\"b"', '"c\\\\d"', "1930", "true", "2021-05-01"]
+        source = "".join(f"attr i{n} p {values[n % 6]}\n" for n in range(600))
+        scan_spy = mock.Mock(wraps=oft.scan)
+        escape_spy = mock.Mock(wraps=oft._ESCAPE)
+        monkeypatch.setattr(oft, "scan", scan_spy)
+        monkeypatch.setattr(oft, "_ESCAPE", escape_spy)
+        axioms = parse_clean(source).axioms
+        assert sorted(call.args[1] for call in scan_spy.call_args_list) == sorted(values)
+        assert escape_spy.sub.call_count <= 2
+        lexicals = ["honey", 'a"b', "c\\d", "1930", "true", "2021-05-01"]
+        assert [ax.value.lexical for ax in axioms[:6]] == lexicals
+        assert len({id(ax.value) for ax in axioms}) == 6
 
     def test_allowed_values_share_the_table(self):
         result = parse_clean(
@@ -507,6 +523,7 @@ def token_path_parse(source, file_name):
 _BLANKS = st.sampled_from([" "] * 6 + ["\t", "  ", " \t ", "\r"])
 _NAMES = st.sampled_from(["A", "b_1", "x9", "_", "A", "b_1", "x9", "_"] + [
     "truex", "falsey", "true", "false", "type", "sub", "rel", "class",
+    "true1", "true_", "trueé", "falseÄ", "True",
 ])
 _COMMAS = st.sampled_from([",", ", ", " ,", "\t,\t", ",,", ", ,", " "])
 _VALUES = st.sampled_from([
@@ -515,6 +532,7 @@ _VALUES = st.sampled_from([
     "2020-01-01", "2021-05-01T12:30:00Z", "2020-02-29T12:30:00",
     '"a\\nb"', '"a\rb"', '"open', "truex", "9e99999999999999999999", "1.", ".5",
     "2020-02-30", "2020-01-01T", "2020-1-1", "A",
+    '"a"b', "12#c", "1,2", "true#c", '"x"#c', "--1",
 ])
 _TRAILERS = st.sampled_from(["", " ", "\t", "#", " # c", '#"x', "\r", " x"])
 # Characters that `str.splitlines` takes as line breaks and `str.split("\n")`
