@@ -175,27 +175,27 @@ class Literal:
     _text: str = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        vt, lex = self.value_type, self.lexical
-        text = lex
-        if vt in (ValueType.ANY, ValueType.ENUM):
-            raise ValueError(f"{vt.value} is a facet type, not a value type")
-        if vt is ValueType.NUMBER:
+        lex = self.lexical
+        kind, text = self.value_type.value, lex  # a string test costs less than a member's
+        if kind in ("literal", "enum"):
+            raise ValueError(f"{kind} is a facet type, not a value type")
+        if kind == "number":
             number = parse_number(lex)
             if number is None:
                 raise ValueError(f"not a finite decimal: {lex!r}")
-            key = (vt.value, number)
+            key = (kind, number)
         else:
-            if vt is ValueType.BOOLEAN and lex not in ("true", "false"):
+            if kind == "boolean" and lex not in ("true", "false"):
                 raise ValueError(f"boolean must be 'true' or 'false': {lex!r}")
-            if vt is ValueType.DATETIME and not is_datetime(lex):
+            if kind == "datetime" and not is_datetime(lex):
                 raise ValueError(f"not an ISO-8601 date or date-time: {lex!r}")
-            if vt is ValueType.STRING:
+            if kind == "string":
                 text = '"' + lex.replace("\\", "\\\\").replace('"', '\\"') + '"'
-            key = (vt.value, lex)
+            key = (kind, lex)
         if "\n" in lex or "\r" in lex:
             raise ValueError("literal may not contain line breaks")
         object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_order", f"{vt.value} {lex}")
+        object.__setattr__(self, "_order", f"{kind} {lex}")
         object.__setattr__(self, "_text", text)
 
     def key(self) -> tuple:

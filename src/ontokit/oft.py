@@ -135,20 +135,18 @@ def _line_pattern() -> re.Pattern[str]:
     `finditer` over a whole text. `lastgroup` tells what the line is:
     `object` for a well-formed `rel` line, `value` for an `attr` line,
     `individual` or `class` for those heads, None for a blank or comment
-    line, and `other`, the whole line, for any other. The other groups are
-    read by number: 2 and 3 the subject and property of both assertions,
-    7 and 8 the individual and its types, 10 and 11 the class and its
-    parents.
+    line, and `other`, the whole line, for any other. Other groups are read
+    by number: 2 and 3 are both assertions' subject and property, 7 and 8
+    the individual and its types, 10 and 11 the class and its parents.
 
-    A name is an identifier that is not a reserved word; the blank, comma,
+    A name is an identifier but not a reserved word; the blank, comma,
     comment or line end that must follow it ends it. An `attr` value is one
-    raw word or string, with the token pattern's word ends and LF as one
-    more; a string may hold only the escapes `\\"` and `\\\\`. `_Values`
-    classifies each distinct value text with the token scanner, so the
-    literal grammar is written only in `token_pattern`.
+    word or closed string (escapes `\\"` and `\\\\` only): one token of
+    `_OFT_TOKENS`, which `_Values` reads, so the literal grammar is written
+    only in `token_pattern`.
     """
     stop = re.escape("".join(_OFT_PUNCTUATION) + _OFT_COMMENT) + r"\n"
-    name = rf"(?!(?:{BOOLEANS})(?![A-Za-z0-9_])){IDENT}"
+    name = rf"(?!(?:{BOOLEANS})(?:[ \t{stop}]|\Z)){IDENT}"
     names = rf"{name}(?:[ \t]*,[ \t]*{name})*"
     heads = "|".join([
         # Both assertions name a subject and a property before their object.
@@ -165,7 +163,6 @@ def _line_pattern() -> re.Pattern[str]:
 
 _LINE = _line_pattern()
 _SPLIT_NAMES = re.compile(r"[ \t]*,[ \t]*").split
-
 
 
 @dataclass
@@ -307,19 +304,24 @@ class _Literals(dict):
 
 
 class _Values(dict):
-    """Each raw `attr` value text's literal, the text read once by the token
-    scanner and the literal taken from `literals`; None when the text is not
-    one literal token or `Literal` rejects it, so that the line goes to the
-    token path, which reports the fault."""
+    """Each raw `attr` value text's literal from `literals`, the text read
+    once as `scan` reads it; None, which sends the line to the token path to
+    report the fault, when it is no literal or `Literal` rejects it."""
 
     def __init__(self, literals: _Literals):
         self.literals = literals
 
     def __missing__(self, text: str) -> Optional[Literal]:
+        if text[0] == '"':  # a closed string: `_LINE` admits only valid escapes
+            kind, lexical = "string", text[1:-1]
+            lexical = _ESCAPE.sub(r"\1", lexical) if "\\" in lexical else lexical
+        else:  # one word: one token
+            m = _OFT_TOKENS.fullmatch(text)
+            kind, lexical = m.lastgroup, m[m.lastgroup]
+            kind = "datetime" if kind == "word" else kind
         try:
-            [(kind, lexical, _)] = scan(_OFT_TOKENS, text, SyntaxFault)
             value = self.literals[LITERAL_KINDS[kind], lexical]
-        except (ValueError, KeyError):  # a fault, not one token, a rejected or no literal
+        except (ValueError, KeyError):  # a rejected literal, or an identifier
             value = None
         self[text] = value
         return value

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import re
 from contextlib import redirect_stdout
 from unittest import mock
 
@@ -253,17 +254,19 @@ class TestLiteralTable:
             # Equal values with different lexical forms stay distinct objects.
             assert literals[1] == literals[2] and literals[1] is not literals[2]
 
-    def test_each_value_text_is_scanned_once(self, monkeypatch):
-        """600 `attr` lines holding 6 distinct value texts scan each text
-        once, and unescape only the 2 escaped strings."""
+    def test_each_value_text_is_classified_once(self, monkeypatch):
+        """600 `attr` lines holding 6 distinct value texts read each text
+        once: each word is matched once against the token pattern, a string
+        is known by its quotes, and only the 2 escaped strings unescape."""
         values = ['"honey"', '"a\\"b"', '"c\\\\d"', "1930", "true", "2021-05-01"]
         source = "".join(f"attr i{n} p {values[n % 6]}\n" for n in range(600))
-        scan_spy = mock.Mock(wraps=oft.scan)
+        tokens_spy = mock.Mock(wraps=oft._OFT_TOKENS)
         escape_spy = mock.Mock(wraps=oft._ESCAPE)
-        monkeypatch.setattr(oft, "scan", scan_spy)
+        monkeypatch.setattr(oft, "_OFT_TOKENS", tokens_spy)
         monkeypatch.setattr(oft, "_ESCAPE", escape_spy)
         axioms = parse_clean(source).axioms
-        assert sorted(call.args[1] for call in scan_spy.call_args_list) == sorted(values)
+        assert sorted(call.args[0] for call in tokens_spy.fullmatch.call_args_list) == [
+            "1930", "2021-05-01", "true"]
         assert escape_spy.sub.call_count <= 2
         lexicals = ["honey", 'a"b', "c\\d", "1930", "true", "2021-05-01"]
         assert [ax.value.lexical for ax in axioms[:6]] == lexicals
@@ -614,17 +617,33 @@ def _token_path_lines(source, monkeypatch):
     return seen, parse_oft(source, "f.oft")
 
 
-@pytest.mark.parametrize("indent", ["", "  ", "\t", " \t "])
-def test_only_other_statements_reach_the_token_path(indent, monkeypatch):
-    """On the packaged corpus, indented or not, blank and comment lines and
-    every well-formed `rel`, `attr`, `individual` and `class` line skip the
-    scanner; only `ontology`, `objprop` and `dataprop` lines reach it."""
+_BLANK_RUN = re.compile(r'("(?:[^"\\]|\\.)*")|[ \t]+')
+
+
+def _respaced(line):
+    """A statement line with a tab and two blanks for its indent and for
+    each run of blanks outside its strings, and a trailing comment."""
+    if not line.strip() or line.lstrip().startswith("#"):
+        return line
+    return "\t  " + _BLANK_RUN.sub(lambda m: m[1] or "\t  ", line.rstrip("\n")) + "  # c\n"
+
+
+@pytest.mark.parametrize("layout", ["", "  ", "\t", " \t ", pytest.param(_respaced, id="respaced")])
+def test_only_other_statements_reach_the_token_path(layout, monkeypatch):
+    """On the packaged corpus, indented or not, or respaced with tabs and
+    trailing comments, blank and comment lines and every well-formed `rel`,
+    `attr`, `individual` and `class` line skip the scanner; only
+    `ontology`, `objprop` and `dataprop` lines reach it. Every layout reads
+    as the plain corpus does."""
     for path in corpus_paths():
-        source = "".join(indent + line for line in path.read_text().splitlines(True))
+        lines = path.read_text().splitlines(True)
+        source = "".join(map(layout, lines) if callable(layout) else (layout + ln for ln in lines))
         seen, result = _token_path_lines(source, monkeypatch)
         assert result.diagnostics == []
         assert {line.split()[0] for line in seen} <= {"ontology", "objprop", "dataprop"}
         assert len(seen) == sum(1 for line in source.splitlines() if line.split()[:1] in (
             ["ontology"], ["objprop"], ["dataprop"]))
+        plain = parse_oft("".join(lines), "f.oft").axioms
+        assert [repr(ax) for ax in result.axioms] == [repr(ax) for ax in plain]
         name, axioms, diagnostics = token_path_parse(source, "f.oft")
         assert [repr(ax) for ax in result.axioms] == [repr(ax) for ax in axioms]
