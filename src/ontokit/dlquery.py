@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import reduce
+from itertools import compress
 from operator import and_, or_
 from typing import Iterable, Optional, Union
 
 from .model import E_UNKNOWN_REF, E_UNSUPPORTED_MODE, Fault, Kind, Literal, Ontology
 from .oft import LITERAL_KINDS, SyntaxFault, TokenCursor, token_pattern
-from .reasoner import Realization, TaxonomyClosure
+from .reasoner import Realization, TaxonomyClosure, bits
 
 _QUERY_TOKENS = token_pattern(
     {"(": "lparen", ")": "rparen"}, keywords=("and", "some", "value")
@@ -113,11 +114,10 @@ class Some(_Expr):
         self.filler.check_names(o)
 
     def extension(self, r: Realization) -> int:
-        """The OR of the subject masks of the filler's members, each looked
-        up as an object of the property."""
-        targets = r.assertion_index[self.prop]
-        members = r.members_of.names(self.filler.extension(r))
-        return reduce(or_, filter(None, map(targets.get, members)), 0)
+        """The OR of the subject masks in the property's index slots at the
+        filler's set bits; the filler is never decoded into names."""
+        slots = r.assertion_index[self.prop]
+        return reduce(or_, filter(None, compress(slots, bits(self.filler.extension(r)))), 0)
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,8 @@ class ValueObj(_Expr):
         _need(o, self.individual, Kind.INDIVIDUAL)
 
     def extension(self, r: Realization) -> int:
-        return r.assertion_index[self.prop].get(self.individual, 0)
+        index = r.assertion_index
+        return index[self.prop][index.position[self.individual]]
 
 
 @dataclass(frozen=True)

@@ -143,17 +143,19 @@ def parse_number(lexical: str) -> Optional[Decimal]:
 
 
 def is_datetime(lexical: str) -> bool:
-    """True for an ISO-8601 date or date-time."""
-    if not _DATETIME_SHAPE_RE.match(lexical):
+    """True for an ISO-8601 date or date-time. The shape's `T…` group picks
+    the one parser that can accept the text."""
+    shape = _DATETIME_SHAPE_RE.match(lexical)
+    if shape is None:
         return False
-    text = lexical[:-1] + "+00:00" if lexical.endswith("Z") else lexical
-    for parse in (date.fromisoformat, datetime.fromisoformat):
-        try:
-            parse(text)
-            return True
-        except ValueError:
-            pass
-    return False
+    try:
+        if shape[1] is None:
+            date.fromisoformat(lexical)
+        else:
+            datetime.fromisoformat(lexical[:-1] + "+00:00" if lexical.endswith("Z") else lexical)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -11,14 +11,14 @@ from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, S
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
-from operator import attrgetter
-from typing import Optional
+from typing import Optional, Union
 
 from .model import (
     Diagnostic,
     E_CYCLE,
     IndividualDecl,
     Kind,
+    Literal,
     Ontology,
     SubClassOf,
     THING,
@@ -27,6 +27,15 @@ from .model import (
 
 # Maps the digits of a binary numeral to the bytes 0 and 1.
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def bits(mask: int) -> bytes:
+    """One byte per bit of `mask`, lowest first: 1 where the bit is set, 0
+    where it is not, up to the highest set bit. `itertools.compress` reads
+    it as its selectors, to keep the items at the set bits' positions."""
+    if mask < 0:
+        raise ValueError(f"a mask is never negative: {mask}")
+    return f"{mask:b}"[::-1].encode().translate(_BIT_BYTES)
 
 
 class MaskView(Mapping[str, frozenset[str]]):
@@ -48,9 +57,7 @@ class MaskView(Mapping[str, frozenset[str]]):
 
     def names(self, mask: int) -> Iterator[str]:
         """The universe members whose bits are set in `mask`, in bit order."""
-        if mask < 0:
-            raise ValueError(f"a mask is never negative: {mask}")
-        return compress(self.universe, f"{mask:b}"[::-1].encode().translate(_BIT_BYTES))
+        return compress(self.universe, bits(mask))
 
     def __getitem__(self, key: str) -> frozenset[str]:
         found = self._decoded.get(key)
@@ -169,10 +176,14 @@ class TaxonomyClosure:
 class Realization:
     """Inferred individual memberships, and each property's assertions.
 
-    `members_of` and `assertion_index` masks are over `members_of.universe`,
-    the individuals sorted by name; `types_of` masks are over the closure's
-    class order. Instance queries read only these masks and decode only
-    their answer.
+    `members_of` masks, and the subject masks of `assertion_index`, are over
+    `members_of.universe`, the individuals sorted by name; `types_of` masks
+    are over the closure's class order. An object property's index entry is
+    a list with one slot per individual, in that same order: slot i holds
+    the mask of the subjects asserted with `universe[i]` as their object, or
+    0. A data property's entry is a dict from each asserted literal to the
+    mask of its subjects. Instance queries read only these masks and decode
+    only their answer.
 
     Each entry computes on its first read (see `_Walks`): `members_of[c]`
     walks down from `c` and collects the individuals asserted on the way,
@@ -183,36 +194,41 @@ class Realization:
 
     members_of: MaskView
     types_of: MaskView
-    assertion_index: dict[str, dict]
+    assertion_index: _AssertionIndex
 
 
 class _AssertionIndex(dict):
-    """`Realization.assertion_index`: each asserted object of a property (an
-    individual, or a literal; literals equal by `key()` share one entry) to
-    the mask of its subjects. A missing declared property's entry is one
-    pass over the assertions of its kind; an undeclared one is a `KeyError`."""
+    """`Realization.assertion_index`. An object property's entry has one
+    slot per individual, numbered by `position`, the bit order of
+    `members_of.universe`: a slot holds the mask of the subjects asserted
+    with that individual as their object, or 0, so a `some` term selects
+    its filler's slots by the filler's own bits and `value i` reads slot
+    `position[i]`. A data property's entry maps each asserted literal
+    (literals equal by `key()` share one entry) to the mask of its
+    subjects. A missing declared property's entry is one pass over the
+    assertions of its kind; an undeclared one is a `KeyError`."""
 
     def __init__(self, o: Ontology, position: dict[str, int]):
         super().__init__()
         self.o, self.position = o, position
 
-    def __missing__(self, prop: str) -> dict:
-        kind = self.o.symbols.get(prop)
+    def __missing__(self, prop: str) -> Union[list[int], dict[Literal, int]]:
+        # Each subject mask is as wide as its highest subject's position:
+        # with objects and subjects both growing with the individuals, the
+        # index grows quadratically in memory at scale.
+        kind, position = self.o.symbols.get(prop), self.position
         if kind is Kind.OBJECT_PROPERTY:
-            assertions, target = self.o.obj_assertions, attrgetter("object")
-        elif kind is Kind.DATA_PROPERTY:
-            assertions, target = self.o.data_assertions, attrgetter("value")
-        else:
+            slots = self[prop] = [0] * len(position)
+            for ax in self.o.obj_assertions:
+                if ax.prop == prop:
+                    slots[position[ax.object]] |= 1 << position[ax.subject]
+            return slots
+        if kind is not Kind.DATA_PROPERTY:
             raise KeyError(prop)
-        # One mask per distinct object, as wide as its highest subject's
-        # position: with objects and subjects both growing with the
-        # individuals, the index grows quadratically in memory at scale.
-        position = self.position
         targets = self[prop] = {}
-        for ax in assertions:
+        for ax in self.o.data_assertions:
             if ax.prop == prop:
-                obj = target(ax)
-                targets[obj] = targets.get(obj, 0) | 1 << position[ax.subject]
+                targets[ax.value] = targets.get(ax.value, 0) | 1 << position[ax.subject]
         return targets
 
 

@@ -44,7 +44,7 @@ from ontokit.model import (
     ValueType,
     build_ontology,
 )
-from ontokit.oft import scan
+from ontokit.oft import load_sources, scan
 from ontokit.reasoner import MaskView, compute_closure, realize
 from ontokit.validator import validate
 
@@ -332,6 +332,51 @@ class TestMaskEvaluation:
             for expr in exprs:
                 got = eval_query(onto, closure, realization, expr, QueryMode.INSTANCES)
                 assert got == sorted(bruteforce.oracle_instances(onto, expr)), format_expr(expr)
+
+    def test_index_slots_match_bruteforce_oracle(self):
+        """An object property's entry has one slot per individual. Edge
+        cases against the oracle: a filler whose members are nobody's
+        objects, an empty filler, `value` on an individual that is neither
+        subject nor object of the property, a declared property with no
+        assertion, every `rel` line written twice, and fillers whose highest
+        bit lies far below the universe size or is its last bit."""
+        n = 300
+        names = [f"i{k:03d}" for k in range(n)]
+        lines = ["class Low", "class Lonely", "class High", "class Empty", "objprop p", "objprop never"]
+        lines += [f"individual {name} type {'Low' if k < 3 else 'Lonely' if k < 10 else 'High'}"
+                  for k, name in enumerate(names)]
+        for k in range(10, n):
+            lines += [f"rel {names[k]} p {names[k % 3]}", f"rel {names[k - 1]} p {names[k]}"] * 2
+        onto, diags = load_sources([("t.oft", "\n".join(lines) + "\n")])
+        assert onto is not None, diags
+        closure, _ = compute_closure(onto)
+        realization = realize(onto, closure)
+        assert realization.members_of.masks["Low"].bit_length() == 3
+        exprs = [
+            Some("p", Named("Lonely")),
+            Some("p", Named("Empty")),
+            ValueObj("p", "i005"),
+            Some("never", Named(THING)),
+            ValueObj("never", "i000"),
+            Some("p", Named("Low")),
+            Some("p", Some("p", Named("Low"))),
+            Some("p", ValueObj("p", "i001")),
+            ValueObj("p", "i000"),
+            ValueObj("p", names[-1]),
+            Some("p", Named("High")),
+            Some("p", Named(THING)),
+        ]
+        answers = {}
+        for expr in exprs:
+            got = eval_query(onto, closure, realization, expr, QueryMode.INSTANCES)
+            assert got == sorted(bruteforce.oracle_instances(onto, expr)), format_expr(expr)
+            answers[format_expr(expr)] = got
+        assert answers["p some Lonely"] == answers["p some Empty"] == answers["p value i005"] == []
+        assert answers["never some Thing"] == answers["never value i000"] == []
+        assert answers["p value i299"] == ["i298"]
+        slots = realization.assertion_index["p"]
+        assert len(slots) == n and not any(slots[3:10]) and all(slots[:3]) and all(slots[10:])
+        assert realization.assertion_index["never"] == [0] * n
 
     def test_index_is_built_by_instance_queries_only(self):
         """Checking, exporting, merging, ingesting and the taxonomy modes

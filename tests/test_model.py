@@ -5,12 +5,14 @@ from __future__ import annotations
 import inspect
 import random
 from dataclasses import FrozenInstanceError, fields, replace
+from datetime import date, datetime
 
 import pytest
 
 import bruteforce
 from ontokit.exchange import merge
 from ontokit.model import (
+    _DATETIME_SHAPE_RE,
     ClassDecl,
     DataAssertion,
     DataPropDecl,
@@ -29,6 +31,7 @@ from ontokit.model import (
     ValueType,
     build_ontology,
     canonical_axioms,
+    is_datetime,
 )
 from ontokit.oft import serialize_oft
 
@@ -72,6 +75,44 @@ class TestLiteral:
         Literal(ValueType.DATETIME, "2020-02-29")
         Literal(ValueType.DATETIME, "2020-01-01T10:20:30")
         Literal(ValueType.DATETIME, "2020-01-01T10:20:30Z")
+
+    @staticmethod
+    def two_parser_rule(lexical: str) -> bool:
+        """The earlier rule: after the shape test, a date parse, and a
+        date-time parse when that fails."""
+        if not _DATETIME_SHAPE_RE.match(lexical):
+            return False
+        text = lexical[:-1] + "+00:00" if lexical.endswith("Z") else lexical
+        for parse in (date.fromisoformat, datetime.fromisoformat):
+            try:
+                parse(text)
+                return True
+            except ValueError:
+                pass
+        return False
+
+    def test_is_datetime_parses_once_as_two_parsers_did(self):
+        """`is_datetime` picks one parser by the shape's `T…` group and
+        answers as trying both did, on seeded shapes with invalid months and
+        days, a bare `T`, partial and out-of-range times, fractions, offsets
+        and a `Z` suffix."""
+        rng = random.Random(52)
+        times = ["", "T", "T1", "T10", "T10:2", "T10:20", "T10:20:30", "T24:00", "T23:59:60",
+                 "T10:20:30.5", "T10:20:30.123456", "T10:20:30.1234567", "T10:20:30+05:00",
+                 "T10:20:30-0530", "T10:20+24:00", "T10:20:30+05:30:15", "T10-5", "T::", "T.5"]
+        seen = set()
+        for _ in range(20_000):
+            text = f"{rng.choice(['2020', '1999', '0000', '0001', '9999'])}-"
+            text += f"{rng.randint(0, 13):02d}-{rng.randint(0, 32):02d}"
+            if rng.random() < 0.2:
+                text += "T" + "".join(rng.choices("0123456789:.+-", k=rng.randint(0, 12)))
+            else:
+                text += rng.choice(times)
+            text += rng.choice(["", "", "Z", " ", "ZZ"])
+            got = is_datetime(text)
+            assert got == self.two_parser_rule(text), text
+            seen.add((got, "T" in text))
+        assert seen == {(False, False), (True, False), (False, True), (True, True)}
 
 
 _FACET = FacetSpec(ValueType.NUMBER, (Literal(ValueType.NUMBER, "1"),))

@@ -16,7 +16,7 @@ from ontokit.model import (
     THING,
     build_ontology,
 )
-from ontokit.reasoner import MaskView, compute_closure, realize
+from ontokit.reasoner import MaskView, bits, compute_closure, realize
 
 
 def closure_of(axioms):
@@ -167,9 +167,11 @@ class TestMaskView:
         an intersection folded from -1 with no part would hide that way."""
         view = MaskView({}, ["a", "b", "c"], {})
         assert list(view.names(0b101)) == ["a", "c"]
+        assert bits(0b101) == b"\1\0\1" and bits(0) == b"\0"
         for mask in (-1, -2, -(1 << 70)):
-            with pytest.raises(ValueError, match="never negative"):
-                view.names(mask)
+            for decode in (bits, view.names):
+                with pytest.raises(ValueError, match="never negative"):
+                    decode(mask)
 
 
 class TestLazyViews:
