@@ -176,14 +176,13 @@ class TaxonomyClosure:
 class Realization:
     """Inferred individual memberships, and each property's assertions.
 
-    `members_of` masks, and the subject masks of `assertion_index`, are over
+    `members_of` masks and `assertion_index` masks are over
     `members_of.universe`, the individuals sorted by name; `types_of` masks
     are over the closure's class order. An object property's index entry is
-    a list with one slot per individual, in that same order: slot i holds
-    the mask of the subjects asserted with `universe[i]` as their object, or
-    0. A data property's entry is a dict from each asserted literal to the
-    mask of its subjects. Instance queries read only these masks and decode
-    only their answer.
+    a list in universe order: slot i holds the mask of `universe[i]`'s
+    subjects, or 0. A data property's entry maps each literal to the mask
+    of its subjects. Instance queries read only these masks and decode only
+    their answer.
 
     Each entry computes on its first read (see `_Walks`): `members_of[c]`
     walks down from `c` and collects the individuals asserted on the way,
@@ -199,14 +198,13 @@ class Realization:
 
 class _AssertionIndex(dict):
     """`Realization.assertion_index`. An object property's entry has one
-    slot per individual, numbered by `position`, the bit order of
-    `members_of.universe`: a slot holds the mask of the subjects asserted
-    with that individual as their object, or 0, so a `some` term selects
-    its filler's slots by the filler's own bits and `value i` reads slot
-    `position[i]`. A data property's entry maps each asserted literal
-    (literals equal by `key()` share one entry) to the mask of its
-    subjects. A missing declared property's entry is one pass over the
-    assertions of its kind; an undeclared one is a `KeyError`."""
+    slot per individual, numbered by `position`, the bit order of a mask:
+    each slot holds the mask of the subjects asserted with that individual
+    as their object, so a `some` term selects slots by its filler's bits. A
+    data property's entry maps each asserted literal (literals equal by
+    `key()` share one entry) to the mask of its subjects. A missing declared
+    property's entry is one pass over the assertions of its kind; an
+    undeclared one is a `KeyError`."""
 
     def __init__(self, o: Ontology, position: dict[str, int]):
         super().__init__()
