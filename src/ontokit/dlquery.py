@@ -115,7 +115,7 @@ class Some(_Expr):
 
     def extension(self, r: Realization) -> int:
         """The OR of the subject masks in the property's index slots at the
-        filler's set bits; the filler is never decoded into names."""
+        filler's set bits."""
         slots = r.assertion_index[self.prop]
         return reduce(or_, filter(None, compress(slots, bits(self.filler.extension(r)))), 0)
 
