@@ -10,7 +10,7 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, filterfalse, repeat
+from itertools import compress, filterfalse, repeat
 from operator import attrgetter, itemgetter
 from typing import Optional, Sequence
 
@@ -114,36 +114,6 @@ def _parse_cell(cell: str, facet: FacetSpec) -> Optional[Literal]:
     return None
 
 
-def _clean_rows(
-    o: Ontology, rows: list[tuple[int, list[str]]], columns: dict[str, int],
-    target: str, column_map: Sequence[tuple[str, str]], file: str,
-) -> Optional[list[Axiom]]:
-    """The axioms of the rows after the header when they pass every test of
-    the row walk in bulk, each column's distinct cells parsed once; else None."""
-    lines, body = list(map(itemgetter(0), rows[1:])), list(map(itemgetter(1), rows[1:]))
-    ids = [row[columns["id"]] for row in body if len(row) == len(rows[0][1])]
-    text = "".join(chain.from_iterable(body))
-    single = [p for _, p in column_map if o.facets[p].cardinality is Cardinality.SINGLE]
-    if (
-        len(ids) < len(body) or "\n" in text or "\r" in text or len(set(single)) < len(single)
-        or not all(map(IDENT_RE.match, ids)) or len(set(ids)) < len(ids)
-        or not o.symbols.keys().isdisjoint(ids)
-    ):
-        return None
-    axioms = list(map(IndividualDecl.make, ids, repeat((target,)), repeat(file), lines))
-    for header, prop in column_map:
-        cells = list(map(itemgetter(columns[header]), body))
-        literals = {cell: _parse_cell(cell, o.facets[prop]) for cell in set(cells) - {""}}
-        if None in literals.values():
-            return None
-        values = map(literals.__getitem__, filter(None, cells))
-        axioms += map(DataAssertion.make, compress(ids, cells), repeat(prop), values, repeat(file),
-                      compress(lines, cells))
-    # Stable: each row's declaration, then its values in column-map order.
-    axioms.sort(key=attrgetter("line"))
-    return axioms
-
-
 def ingest_csv(
     o: Ontology,
     csv_text: str,
@@ -157,8 +127,9 @@ def ingest_csv(
     parse according to the mapped property's facet value type. A row gives a
     single-cardinality property at most one value: each later one is an
     `E_CARD_SINGLE` error. Any diagnostic suppresses the whole result (no
-    partial axiom lists). The rows are tested in bulk first (`_clean_rows`);
-    only when a test fails are they walked row by row to place the findings.
+    partial axiom lists). One pass keeps each row that names a new
+    individual; then each mapped column parses its distinct cells once and
+    walks its cells only to place a finding.
     """
     diags: list[Diagnostic] = []
     if o.symbols.get(target_class) is not Kind.CLASS:
@@ -172,17 +143,13 @@ def ingest_csv(
         return [], sort_diagnostics(diags)
 
     reader = csv.reader(io.StringIO(csv_text, newline=""), strict=True)
-    rows: list[tuple[int, list[str]]] = []  # (first line of the row, cells)
-    first = 1
     try:
-        for row in reader:
-            rows.append((first, row))
-            first = reader.line_num + 1
+        rows = [(row, reader.line_num) for row in reader]  # (cells, last line of the row)
     except csv.Error as exc:
         return [], [error(E_SYNTAX, f"unreadable CSV: {exc}", file_name, reader.line_num)]
     if not rows:
         return [], []
-    header_row = rows[0][1]
+    header_row, last = rows[0]
     columns = {h: i for i, h in enumerate(header_row)}
     if "id" not in columns:
         diags.append(error(E_CSV_HEADER, "missing required 'id' column", file_name, 1))
@@ -200,65 +167,57 @@ def ingest_csv(
     if diags:
         return [], sort_diagnostics(diags)
 
-    clean = _clean_rows(o, rows, columns, target_class, column_map, file_name)
-    if clean is not None:
-        return clean, []
-    axioms: list[Axiom] = []
-    seen_ids: set[str] = set()
-    # One literal per distinct (property, cell); cells repeat a few values.
-    literals: dict[tuple[str, str], Literal] = {}
-    for line, row in rows[1:]:
-        if any("\n" in cell or "\r" in cell for cell in row):
-            diags.append(error(E_SYNTAX, "a cell spans more than one line", file_name, line))
+    # Each row that names a new individual, by id; any other row is
+    # reported at its first failed test. A row spans more than one line
+    # exactly when one of its cells holds a line break.
+    id_column, width = columns["id"], len(header_row)
+    kept: dict[str, list[str]] = {}
+    lines: list[int] = []  # the first line of each kept row
+    for row, end in rows[1:]:
+        line, last = last + 1, end
+        code = E_SYNTAX
+        if end > line:
+            message = "a cell spans more than one line"
+        elif len(row) != width:
+            message = f"row has {len(row)} fields, header has {width}"
+        elif not IDENT_RE.match(row_id := row[id_column]):
+            message = f"row id {row_id!r} is not a valid identifier"
+        elif row_id in o.symbols or row_id in kept:
+            code, message = E_DUP_INDIVIDUAL, f"{row_id} already exists"
+        else:
+            kept[row_id] = row
+            lines.append(line)
             continue
-        if len(row) != len(header_row):
-            diags.append(
-                error(
-                    E_SYNTAX,
-                    f"row has {len(row)} fields, header has {len(header_row)}",
-                    file_name,
-                    line,
-                )
-            )
-            continue
-        row_id = row[columns["id"]]
-        if not is_ident(row_id):
-            diags.append(error(E_SYNTAX, f"row id {row_id!r} is not a valid identifier", file_name, line))
-            continue
-        if row_id in o.symbols or row_id in seen_ids:
-            diags.append(error(E_DUP_INDIVIDUAL, f"{row_id} already exists", file_name, line))
-            continue
-        seen_ids.add(row_id)
-        axioms.append(IndividualDecl.make(row_id, (target_class,), file_name, line))
-        valued: set[str] = set()  # the properties given a value in this row
-        for header, prop in column_map:
-            cell = row[columns[header]]
-            if cell == "":
-                continue
-            lit = literals.get((prop, cell))
-            if lit is None:
-                facet = o.facets[prop]
-                lit = _parse_cell(cell, facet)
-                if lit is None:
-                    diags.append(
-                        error(
-                            E_TYPE_MISMATCH,
-                            f"cell {cell!r} is not a {facet.value_type.value} for {prop}",
-                            file_name,
-                            line,
-                        )
-                    )
-                    continue
-                literals[prop, cell] = lit
-            # Every value after a row's first breaks single cardinality.
-            if prop in valued and o.facets[prop].cardinality is Cardinality.SINGLE:
-                message = f"{row_id} has more than one value for single-cardinality {prop}"
-                diags.append(error(E_CARD_SINGLE, message, file_name, line))
-                continue
-            valued.add(prop)
-            axioms.append(DataAssertion.make(row_id, prop, lit, file_name, line))
+        diags.append(error(code, message, file_name, line))
+    ids, body = list(kept), list(kept.values())
+    axioms = list(map(IndividualDecl.make, ids, repeat((target_class,)), repeat(file_name), lines))
+    # Each row's value so far of each single-cardinality property.
+    given: dict[str, list[Optional[Literal]]] = {}
+    for header, prop in column_map:
+        facet = o.facets[prop]
+        cells = list(map(itemgetter(columns[header]), body))
+        literals = {cell: _parse_cell(cell, facet) for cell in set(cells) - {""}}
+        values = list(map(literals.get, cells))
+        earlier = given.get(prop)
+        if None in literals.values() or earlier is not None:
+            for i in compress(range(len(cells)), cells):  # each non-empty cell
+                if values[i] is None:
+                    message = f"cell {cells[i]!r} is not a {facet.value_type.value} for {prop}"
+                    diags.append(error(E_TYPE_MISMATCH, message, file_name, lines[i]))
+                elif earlier is not None:
+                    if earlier[i] is None:
+                        earlier[i] = values[i]
+                    else:
+                        message = f"{ids[i]} has more than one value for single-cardinality {prop}"
+                        diags.append(error(E_CARD_SINGLE, message, file_name, lines[i]))
+        if facet.cardinality is Cardinality.SINGLE:
+            given.setdefault(prop, values)
+        axioms += map(DataAssertion.make, compress(ids, values), repeat(prop),
+                      filter(None, values), repeat(file_name), compress(lines, values))
     if diags:
         return [], sort_diagnostics(diags)
+    # Stable: each row's declaration, then its values in column-map order.
+    axioms.sort(key=attrgetter("line"))
     return axioms, []
 
 

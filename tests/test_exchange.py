@@ -384,6 +384,29 @@ class TestIngestCsv:
         assert [d.render() for d in diags] == [f"d.csv:2: error E_CARD_SINGLE {message}"] * 2
         axioms, diags = ingest_csv(onto, "id,x,y,z,s,t\nB,,2,,a,b\n", "Dates", column_map)
         assert diags == [] and len(axioms) == 4
+        # A cell that does not parse gives its property no value, so the
+        # next column's value is the row's first.
+        text = "id,x,y,z,s,t\nC,old,2,,a,b\n"
+        axioms, diags = ingest_csv(onto, text, "Dates", column_map, "d.csv")
+        assert axioms == []
+        message = "cell 'old' is not a number for has_year"
+        assert [d.render() for d in diags] == [f"d.csv:2: error E_TYPE_MISMATCH {message}"]
+        # The value after a row's first is a later one wherever it stands.
+        text = "id,x,y,z,s,t\nE,,2,3,a,b\nF,1,,3,a,b\n"
+        axioms, diags = ingest_csv(onto, text, "Dates", column_map, "d.csv")
+        message = "has more than one value for single-cardinality has_year"
+        assert [d.render() for d in diags] == [
+            f"d.csv:2: error E_CARD_SINGLE E {message}",
+            f"d.csv:3: error E_CARD_SINGLE F {message}",
+        ]
+        # A row refused for its id gives no cell finding.
+        text = "id,x,y,z,s,t\ntrue,old,2,3,a,b\nD,1,,,a,b\nD,old,2,3,a,b\n"
+        axioms, diags = ingest_csv(onto, text, "Dates", column_map, "d.csv")
+        assert axioms == []
+        assert [d.render() for d in diags] == [
+            "d.csv:2: error E_SYNTAX row id 'true' is not a valid identifier",
+            "d.csv:4: error E_DUP_INDIVIDUAL D already exists",
+        ]
 
     def test_diagnostics_suppress_axioms(self):
         onto = parse_built(INGEST_BASE)
