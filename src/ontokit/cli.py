@@ -4,6 +4,11 @@ Subcommands: check, query, export-dot, stats, merge, ingest. Diagnostics go
 to stderr as `<file>:<line>: <severity> <CODE> <message>`; data goes to
 stdout so pipelines can consume query and DOT output cleanly. Exit codes:
 0 clean, 1 error diagnostics, 2 usage or I/O failure, or out of memory.
+
+Every command loads through `_load`: read, parse and build the files, then
+close the taxonomy, except in `stats` and `merge`. The first stage that
+fails stops the command with its findings (exit 1); `check` still prints
+its summary then. Only `check` and an `instances` query realize.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from typing import Iterable, Optional, Sequence
 
 from .dlquery import QueryMode, eval_query, parse_query
 from .exchange import export_dot, ingest_csv, merge
-from .model import Diagnostic, Fault, Ontology, Severity, build_ontology, sort_diagnostics
+from .model import DataAssertion, Diagnostic, Fault, ObjAssertion, Ontology, Severity
+from .model import build_ontology, sort_diagnostics
 from .oft import load_sources, serialize_oft
 from .reasoner import TaxonomyClosure, compute_closure, realize
 from .validator import validate
@@ -46,32 +52,25 @@ class _Failed(Exception):
     """A command failed with the diagnostics in `args[0]`; `run` emits them."""
 
 
-def _load(paths: Sequence[str]) -> tuple[Optional[Ontology], list[Diagnostic]]:
-    return load_sources([(p, _read_text(p)) for p in paths])
-
-
-def _require(paths: Sequence[str]) -> Ontology:
-    onto, diags = _load(paths)
-    if onto is None:
-        raise _Failed(diags)
-    return onto
-
-
-def _require_closed(paths: Sequence[str]) -> tuple[Ontology, TaxonomyClosure]:
-    onto = _require(paths)
-    closure, diags = compute_closure(onto)
-    if closure is None:
+def _load(paths: Sequence[str], close: bool = True) -> tuple[Ontology, Optional[TaxonomyClosure]]:
+    """Run a command's stages in order: read and `load_sources` the files,
+    then `compute_closure` when `close`. Raises `_Failed` with the findings
+    of the first stage that fails. The stages are looked up in this module,
+    where the benchmark's tracer and the tests wrap them."""
+    onto, diags = load_sources([(p, _read_text(p)) for p in paths])
+    closure, diags = compute_closure(onto) if onto is not None and close else (None, diags)
+    if diags:
         raise _Failed(diags)
     return onto, closure
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    onto, diags = _load(args.files)
-    if onto is not None:
-        closure, closure_diags = compute_closure(onto)
-        diags += closure_diags
-        if closure is not None:
-            diags += validate(onto, closure, realize(onto, closure)).diagnostics
+    try:
+        onto, closure = _load(args.files)
+    except _Failed as exc:
+        diags = exc.args[0]
+    else:
+        diags = validate(onto, closure, realize(onto, closure)).diagnostics
     _emit(diags)
     errors = sum(1 for d in diags if d.severity is Severity.ERROR)
     warnings = len(diags) - errors
@@ -84,7 +83,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     try:
         expr = parse_query(args.query)
         mode = QueryMode(args.mode)
-        onto, closure = _require_closed(args.files)
+        onto, closure = _load(args.files)
         r = realize(onto, closure) if mode is QueryMode.INSTANCES else None
         names = eval_query(onto, closure, r, expr, mode)
     except Fault as exc:
@@ -95,20 +94,21 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    onto, closure = _require_closed(args.files)
+    onto, closure = _load(args.files)
     print(export_dot(onto, closure, inferred=args.inferred), end="")
     return 0
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    onto = _require(args.files)
+    onto, _ = _load(args.files, close=False)
     counts = [
         ("classes", len(onto.classes)),
         ("object_properties", len(onto.object_properties)),
         ("data_properties", len(onto.data_properties)),
         ("individuals", len(onto.individuals)),
         # A repeated assertion is one fact, as in the file's round trip.
-        ("assertions", len({ax.identity() for ax in onto.obj_assertions + onto.data_assertions})),
+        ("assertions", len(set(map(ObjAssertion.key, onto.obj_assertions)))
+         + len(set(map(DataAssertion.key, onto.data_assertions)))),
     ]
     for key, value in counts:
         print(f"{key}\t{value}")
@@ -116,8 +116,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    first = _require([args.first])
-    second = _require([args.second])
+    first, _ = _load([args.first], close=False)
+    second, _ = _load([args.second], close=False)
     report = merge(first, second, first.name)
     _write_text(args.output, serialize_oft(report.merged))
     _emit(report.conflicts)
@@ -137,7 +137,7 @@ def _parse_column_map(raw: str) -> list[tuple[str, str]]:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     # The result is the input plus individuals, so a cycle in the input is one in it.
-    onto, _ = _require_closed(args.files)
+    onto, _ = _load(args.files)
     try:
         column_map = _parse_column_map(args.map)
     except ValueError as exc:

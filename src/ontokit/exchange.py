@@ -16,10 +16,8 @@ from typing import Optional, Sequence
 
 from .model import (
     Axiom,
-    Cardinality,
     DataAssertion,
     Diagnostic,
-    E_CARD_SINGLE,
     E_CSV_HEADER,
     E_DUP_INDIVIDUAL,
     E_KIND_CLASH,
@@ -42,6 +40,7 @@ from .model import (
     sort_diagnostics,
 )
 from .reasoner import TaxonomyClosure, compute_closure
+from .validator import _card_faults
 
 
 def _reduced_parents(closure: TaxonomyClosure) -> dict[str, frozenset[str]]:
@@ -125,11 +124,12 @@ def ingest_csv(
 
     The first row is the header; the `id` column names each individual. Cells
     parse according to the mapped property's facet value type. A row gives a
-    single-cardinality property at most one value: each later one is an
-    `E_CARD_SINGLE` error. Any diagnostic suppresses the whole result (no
-    partial axiom lists). One pass keeps each row that names a new
-    individual; then each mapped column parses its distinct cells once and
-    walks its cells only to place a finding.
+    single-cardinality property at most one value, by the validator's rule
+    (`validator._card_faults`): each later one is an `E_CARD_SINGLE` error.
+    Any diagnostic suppresses the whole result (no partial axiom lists).
+    One pass keeps each row that names a new individual; then each mapped
+    column parses its distinct cells once and walks them only to place one
+    that does not parse.
     """
     diags: list[Diagnostic] = []
     if o.symbols.get(target_class) is not Kind.CLASS:
@@ -191,29 +191,23 @@ def ingest_csv(
         diags.append(error(code, message, file_name, line))
     ids, body = list(kept), list(kept.values())
     axioms = list(map(IndividualDecl.make, ids, repeat((target_class,)), repeat(file_name), lines))
-    # Each row's value so far of each single-cardinality property.
-    given: dict[str, list[Optional[Literal]]] = {}
     for header, prop in column_map:
         facet = o.facets[prop]
         cells = list(map(itemgetter(columns[header]), body))
         literals = {cell: _parse_cell(cell, facet) for cell in set(cells) - {""}}
         values = list(map(literals.get, cells))
-        earlier = given.get(prop)
-        if None in literals.values() or earlier is not None:
+        if None in literals.values():
             for i in compress(range(len(cells)), cells):  # each non-empty cell
                 if values[i] is None:
                     message = f"cell {cells[i]!r} is not a {facet.value_type.value} for {prop}"
                     diags.append(error(E_TYPE_MISMATCH, message, file_name, lines[i]))
-                elif earlier is not None:
-                    if earlier[i] is None:
-                        earlier[i] = values[i]
-                    else:
-                        message = f"{ids[i]} has more than one value for single-cardinality {prop}"
-                        diags.append(error(E_CARD_SINGLE, message, file_name, lines[i]))
-        if facet.cardinality is Cardinality.SINGLE:
-            given.setdefault(prop, values)
         axioms += map(DataAssertion.make, compress(ids, values), repeat(prop),
                       filter(None, values), repeat(file_name), compress(lines, values))
+    # Only a property that more than one column maps can take two values
+    # from one row. Its new assertions follow the declarations, by column.
+    for prop in [p for p, n in Counter(map(itemgetter(1), column_map)).items() if n > 1]:
+        group = [ax for ax in axioms[len(ids):] if ax.prop == prop]
+        diags += _card_faults(prop, o.facets[prop], group)
     if diags:
         return [], sort_diagnostics(diags)
     # Stable: each row's declaration, then its values in column-map order.

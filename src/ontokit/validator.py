@@ -63,7 +63,11 @@ def _value_faults(prop: str, facet: FacetSpec, group: list[DataAssertion]) -> It
             fault = faults.get(ax.value._key)
             if fault is not None:
                 yield ax.error(fault[0], f"value {ax.value.lexical!r} of {prop} {fault[1]}")
-    # Every value after a subject's first breaks single cardinality.
+    yield from _card_faults(prop, facet, group)
+
+
+def _card_faults(prop: str, facet: FacetSpec, group: list[DataAssertion]) -> Iterator[Diagnostic]:
+    """Single cardinality's findings, in `group` order: each subject's values after its first."""
     if facet.cardinality is Cardinality.SINGLE and len(set(map(_SUBJECT, group))) < len(group):
         seen: set[str] = set()
         for ax in group:

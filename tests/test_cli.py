@@ -100,13 +100,50 @@ class TestCheck:
         assert captured.err == "thing.oft:2: error E_CYCLE class Thing cannot be a subclass of A\n"
         assert not (tmp_path / "out.oft").exists()
 
-    @pytest.mark.parametrize("command", [["query", "-q", "A"], ["export-dot"]])
-    def test_cycle_stops_query_and_export(self, tmp_path, capsys, command):
-        path = write(tmp_path / "c.oft", "class A sub B\nclass B sub A\n")
-        assert run([command[0], path, *command[1:]]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"{path}:1: error E_CYCLE classes form a subclass cycle: A, B\n"
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["query", "-q", "A"],
+            ["export-dot"],
+            ["check"],
+            ["stats"],
+            ["merge", "c.oft", "-o", "out.oft"],
+            ["ingest", "--csv", "rows.csv", "--class", "A", "--map", "y=y", "-o", "out.oft"],
+        ],
+    )
+    def test_cycle_stops_query_and_export(self, tmp_path, monkeypatch, capsys, command):
+        """Every command loads through the same stages and stops at the
+        first that fails, with its findings; the CSV is never read. A file
+        that does not parse stops all six before the closure. A subclass
+        cycle stops the commands that close their input: `check` prints its
+        summary and realizes nothing. `stats` and `merge` do not close
+        theirs: `stats` counts, and `merge` writes the union and reports
+        its cycle as a conflict."""
+        monkeypatch.chdir(tmp_path)
+        called = []
+        for name in ("compute_closure", "realize"):
+            real = getattr(cli, name)
+            spy = lambda *args, real=real, name=name: called.append(name) or real(*args)
+            monkeypatch.setattr(cli, name, spy)
+        argv = [command[0], "c.oft", *command[1:]]
+        summary = "1 errors, 0 warnings\n" if command[0] == "check" else ""
+
+        write(tmp_path / "c.oft", "class A\nclazz B\n")
+        syntax = "c.oft:2: error E_SYNTAX unknown statement 'clazz' (column 1)\n"
+        assert (run(argv), *capsys.readouterr(), called) == (1, summary, syntax, [])
+        assert not (tmp_path / "out.oft").exists()
+
+        write(tmp_path / "c.oft", "class A sub B\nclass B sub A\n")
+        cycle = "c.oft:1: error E_CYCLE classes form a subclass cycle: A, B\n"
+        counts = (
+            "classes\t2\nobject_properties\t0\ndata_properties\t0\nindividuals\t0\nassertions\t0\n"
+        )
+        expected = {
+            "stats": (0, counts, "", []),
+            "merge": (1, "", cycle, []),  # the union's own closure, in `exchange.merge`
+        }.get(command[0], (1, summary, cycle, ["compute_closure"]))
+        assert (run(argv), *capsys.readouterr(), called) == expected
+        assert (tmp_path / "out.oft").exists() is (command[0] == "merge")
 
 
 class TestQuery:

@@ -346,7 +346,7 @@ class TestSerialize:
 def _stats(onto):
     """What `ontokit stats` prints for a built ontology."""
     out = io.StringIO()
-    with mock.patch.object(cli, "_require", return_value=onto), redirect_stdout(out):
+    with mock.patch.object(cli, "_load", return_value=(onto, None)), redirect_stdout(out):
         assert cli.run(["stats", "onto.oft"]) == 0
     return out.getvalue()
 
