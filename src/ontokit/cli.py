@@ -70,7 +70,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except _Failed as exc:
         diags = exc.args[0]
     else:
-        diags = validate(onto, closure, realize(onto, closure)).diagnostics
+        diags = validate(onto, realize(onto, closure)).diagnostics
     _emit(diags)
     errors = sum(1 for d in diags if d.severity is Severity.ERROR)
     warnings = len(diags) - errors

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
 from enum import Enum
@@ -268,13 +268,16 @@ class FacetSpec:
 
 
 def _variant(cls: type) -> type:
-    """Make an axiom variant a slotted frozen dataclass, as `Axiom` is, and
-    give it `make(*fields, file, line)`: the generated `__init__`'s
-    parameters, all positional and with no default. `make` builds the axiom
-    by `object.__new__` and one member-descriptor set per slot, with no
+    """Make an axiom variant a slotted frozen dataclass, as `Axiom` is, with
+    the default `key` unless its class body sets one, and give it
+    `make(*fields, file, line)`: the generated `__init__`'s parameters, all
+    positional and with no default. `make` builds the axiom by
+    `object.__new__` and one member-descriptor set per slot, with no
     `type.__call__`, no keyword parsing and no `object.__setattr__`, for the
     loaders that build an axiom per line or row."""
     cls = dataclass(frozen=True, slots=True)(cls)
+    if "key" not in vars(cls):
+        cls.key = attrgetter(*(f.name for f in fields(cls) if not f.kw_only))
     code = cls.__init__.__code__
     params = code.co_varnames[1 : code.co_argcount + code.co_kwonlyargcount]
     env = {f"_set_{name}": getattr(cls, name).__set__ for name in params}
@@ -295,13 +298,13 @@ class Axiom:
     """Base for all axiom variants; carries the source location.
 
     Each variant, made by `_variant`, defines in its class body everything
-    the rest of the program asks of an axiom. Its class attributes serve a
-    group of axioms of the variant at once; `key`, `order` and `implicit`
-    are functions of an axiom, read from the class.
+    the rest of the program asks of an axiom, a default `key` aside. Its
+    class attributes serve a group of axioms of the variant at once; `key`,
+    `order` and `implicit` are functions of an axiom, read from the class.
     """
 
     tag: ClassVar[int]  # the variant's place in the canonical order
-    #: Location-free identity within the variant: duplicates and merging.
+    #: Location-free identity in the variant (duplicates, merging); by default its field values.
     key: ClassVar[Callable[[Any], Hashable]]
     #: Canonical order within the variant, or None to sort by the written
     #: line: a line holds the key's fields in their tuple order after the
@@ -325,10 +328,6 @@ class Axiom:
 
     file: str = field(default="", kw_only=True)
     line: int = field(default=0, kw_only=True)
-
-    def identity(self) -> tuple:
-        """Location-free identity across variants."""
-        return (self.tag, type(self).key(self))
 
     def error(self, code: str, message: str) -> Diagnostic:
         """An error finding at the axiom's file and line."""
@@ -365,7 +364,6 @@ class ClassDecl(Axiom):
 
     tag = 0
     declares = Kind.CLASS
-    key = attrgetter("name")
     implicit = staticmethod(lambda ax: ax.name == THING)
 
     def to_oft(self) -> str:
@@ -378,7 +376,6 @@ class SubClassOf(Axiom):
     parent: str
 
     tag = 1
-    key = attrgetter("child", "parent")
     refers = (("child", Kind.CLASS), ("parent", Kind.CLASS))
     implicit = staticmethod(lambda ax: ax.parent == THING)
 
@@ -402,7 +399,6 @@ class ObjPropDecl(Axiom):
 
     tag = 2
     declares = Kind.OBJECT_PROPERTY
-    key = attrgetter("name", "domain", "range")
     refers = (("domain", Kind.CLASS), ("range", Kind.CLASS))
 
     def contract_clash(self, first: ObjPropDecl) -> Optional[Fault]:
@@ -457,7 +453,6 @@ class IndividualDecl(Axiom):
 
     tag = 4
     declares = Kind.INDIVIDUAL
-    key = attrgetter("name", "types")
     refers = (("types", Kind.CLASS),)
 
     def fault(self) -> Optional[Fault]:
@@ -476,7 +471,6 @@ class ObjAssertion(Axiom):
     object: str
 
     tag = 5
-    key = attrgetter("subject", "prop", "object")
     refers = (
         ("subject", Kind.INDIVIDUAL),
         ("prop", Kind.OBJECT_PROPERTY),

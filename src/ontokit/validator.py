@@ -33,7 +33,7 @@ from .model import (
     sort_diagnostics,
     warning,
 )
-from .reasoner import Realization, TaxonomyClosure
+from .reasoner import Realization
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,7 @@ def _card_faults(prop: str, facet: FacetSpec, group: list[DataAssertion]) -> Ite
             seen.add(ax.subject)
 
 
-def validate(
-    o: Ontology, closure: TaxonomyClosure, realization: Realization
-) -> ValidationReport:
+def validate(o: Ontology, realization: Realization) -> ValidationReport:
     """Validate all assertions; returns the same report for the same input."""
     diags: list[Diagnostic] = []
     members = realization.members_of

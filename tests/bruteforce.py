@@ -178,6 +178,11 @@ def oracle_cycles(onto: Ontology) -> list[tuple[str, str, int]]:
     return sorted(found)
 
 
+def identity(ax: Axiom) -> tuple:
+    """An axiom's location-free identity across variants: its tag and key."""
+    return (ax.tag, type(ax).key(ax))
+
+
 def _literal_identity(value: Literal) -> tuple:
     """Numbers are equal by decimal value, every other literal by its text."""
     if value.value_type is ValueType.NUMBER:

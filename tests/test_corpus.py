@@ -106,8 +106,8 @@ class TestFixtureContent:
         assert declared == 67
         assert len(corpus.classes) == 67
 
-    def test_validates_clean(self, corpus, corpus_closure, corpus_realization):
-        report = validate(corpus, corpus_closure, corpus_realization)
+    def test_validates_clean(self, corpus, corpus_realization):
+        report = validate(corpus, corpus_realization)
         assert report.ok
         assert report.diagnostics == ()
 

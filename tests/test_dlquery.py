@@ -388,7 +388,7 @@ class TestMaskEvaluation:
         onto = load_corpus()
         closure, _ = compute_closure(onto)
         realization = realize(onto, closure)
-        validate(onto, closure, realization)
+        validate(onto, realization)
         export_dot(onto, closure, inferred=True)
         report = merge(onto, load_corpus(), onto.name)
         rows, diags = ingest_csv(onto, "id,year\nNew_date,1999\n", "Species", [("year", "has_date_of_origin")])

@@ -76,7 +76,7 @@ def deep_text(n):
 
 
 def identities(onto):
-    return [ax.identity() for ax in canonical_axioms(onto)]
+    return [bruteforce.identity(ax) for ax in canonical_axioms(onto)]
 
 
 def dot_edges(dot_text):
@@ -620,17 +620,17 @@ def test_merge_screens_each_new_key_once(seed):
     _, a, b = _random_pair(seed)
     axioms = [*b.axioms, ClassDecl(THING), SubClassOf(min(b.classes), THING)]
     b = built([dataclasses.replace(ax, line=i) for i, ax in enumerate(axioms, 1)], "b")
-    old = {ax.identity() for ax in a.axioms}
+    old = {bruteforce.identity(ax) for ax in a.axioms}
     first = {}
     for ax in b.axioms:
         implicit = type(ax).implicit
-        if not (implicit is not None and implicit(ax)) and ax.identity() not in old:
-            first.setdefault(ax.identity(), ax)
+        if not (implicit is not None and implicit(ax)) and bruteforce.identity(ax) not in old:
+            first.setdefault(bruteforce.identity(ax), ax)
     report = merge(a, b, "m")
     screened = [(d.file, d.line) for d in report.conflicts if d.code != "E_CYCLE"]
     assert report.added + len(screened) == len(first)
-    merged = {ax.identity() for ax in report.merged.axioms}
-    missing = [(ax.file, ax.line) for ax in first.values() if ax.identity() not in merged]
+    merged = {bruteforce.identity(ax) for ax in report.merged.axioms}
+    missing = [(ax.file, ax.line) for ax in first.values() if bruteforce.identity(ax) not in merged]
     assert Counter(screened) == Counter(missing)
 
 

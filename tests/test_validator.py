@@ -32,7 +32,7 @@ def check(extra: str):
     assert onto is not None, diags
     closure, cdiags = compute_closure(onto)
     assert closure is not None, cdiags
-    return validate(onto, closure, realize(onto, closure))
+    return validate(onto, realize(onto, closure))
 
 
 def codes(report):
@@ -122,11 +122,11 @@ class TestDomainRange:
 
 
 class TestReportShape:
-    def test_passing_validation_means_no_duplicate_singles(self, corpus, corpus_closure, corpus_realization):
+    def test_passing_validation_means_no_duplicate_singles(self, corpus, corpus_realization):
         from ontokit.model import Cardinality
         from ontokit.validator import validate as run_validate
 
-        report = run_validate(corpus, corpus_closure, corpus_realization)
+        report = run_validate(corpus, corpus_realization)
         assert report.ok
         counts: dict[tuple[str, str], int] = {}
         for ax in corpus.data_assertions:
@@ -155,7 +155,7 @@ class TestReportShape:
             onto, diags = build_ontology(corpus.name, axioms)
             assert onto is not None, diags
             closure, _ = compute_closure(onto)
-            report = validate(onto, closure, realize(onto, closure))
+            report = validate(onto, realize(onto, closure))
             assert not [d for d in report.diagnostics if d.severity is Severity.ERROR]
 
 
@@ -178,7 +178,7 @@ class TestOracle:
             )
             assert onto is not None, diags
             closure, _ = compute_closure(onto)
-            report = validate(onto, closure, realize(onto, closure))
+            report = validate(onto, realize(onto, closure))
             got = sorted((d.code, d.file, d.line) for d in report.diagnostics)
             assert got == sorted(bruteforce.oracle_validate(onto))
             seen.update(code for code, _, _ in got)
@@ -200,7 +200,7 @@ def findings(extra: str):
     onto, diags = build_ontology("v", result.axioms)
     assert onto is not None, diags
     closure, _ = compute_closure(onto)
-    report = validate(onto, closure, realize(onto, closure))
+    report = validate(onto, realize(onto, closure))
     got = sorted((d.code, d.file, d.line) for d in report.diagnostics)
     assert got == sorted(bruteforce.oracle_validate(onto))
     return [(d.code, d.line, d.message) for d in report.diagnostics]
