@@ -510,9 +510,9 @@ class Ontology:
     name: str
     axioms: tuple[Axiom, ...]
     symbols: dict[str, Kind]
-    #: First declaration axiom of each (name, kind), in axiom order; the
-    #: contract views below read it. Only a property's declaration carries
-    #: a contract.
+    #: First declaration axiom of each (name, kind), in axiom order: the
+    #: contract views below read it, and an individual's places its findings.
+    #: Only a property's declaration carries a contract.
     declarations: dict[tuple[str, Kind], Axiom]
     #: The axioms grouped by variant, each group in axiom order; one pass
     #: of the build serves every view below.
@@ -540,16 +540,6 @@ class Ontology:
     @cached_property
     def individuals(self) -> frozenset[str]:
         return self._names_of(Kind.INDIVIDUAL)
-
-    @cached_property
-    def direct_parents(self) -> dict[str, frozenset[str]]:
-        """Direct superclass edges; parentless classes fall back to Thing."""
-        asserted: dict[str, set[str]] = {c: set() for c in self.classes}
-        for ax in self._all(SubClassOf):
-            asserted[ax.child].add(ax.parent)
-        return {
-            c: frozenset(ps) if ps else frozenset({THING}) for c, ps in asserted.items()
-        }
 
     @cached_property
     def asserted_types(self) -> dict[str, frozenset[str]]:
@@ -582,11 +572,6 @@ class Ontology:
     @cached_property
     def data_assertions(self) -> tuple[DataAssertion, ...]:
         return self._all(DataAssertion)
-
-    @cached_property
-    def individual_locations(self) -> dict[str, tuple[str, int]]:
-        """First declaration site of each individual (diagnostic anchor)."""
-        return {ax.name: (ax.file, ax.line) for ax in self._first(IndividualDecl)}
 
 
 def _refers_soundly(group: Sequence[Axiom], symbols: dict[str, Kind]) -> bool:

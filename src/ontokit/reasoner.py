@@ -267,7 +267,11 @@ def compute_closure(o: Ontology) -> tuple[Optional[TaxonomyClosure], list[Diagno
     fresh root (Kosaraju). Returns one E_CYCLE diagnostic per cycle, naming
     every class on it, and no closure.
     """
-    parents: dict[str, frozenset[str]] = dict(o.direct_parents)
+    asserted: dict[str, set[str]] = {c: set() for c in o.classes}
+    for ax in o._all(SubClassOf):
+        asserted[ax.child].add(ax.parent)
+    # A parentless class sits under the implicit root, which has no parent.
+    parents = {c: frozenset(ps or {THING}) for c, ps in asserted.items()}
     parents[THING] = frozenset()
     order = tuple(chain.from_iterable(_post_orders(sorted(parents), lambda n: sorted(parents[n]))))
     position = {name: i for i, name in enumerate(order)}

@@ -27,6 +27,7 @@ from .model import (
     E_RANGE,
     E_TYPE_MISMATCH,
     FacetSpec,
+    Kind,
     Ontology,
     Severity,
     conforms,
@@ -109,8 +110,8 @@ def validate(o: Ontology, realization: Realization) -> ValidationReport:
             continue
         for ind in members[domain].difference(map(_SUBJECT, groups.get(prop, ()))):
             message = f"{ind} has no value for multiple-cardinality {prop}"
-            loc = o.individual_locations.get(ind, ("", 0))
-            diags.append(warning(E_CARD_MULTIPLE, message, *loc))
+            decl = o.declarations[ind, Kind.INDIVIDUAL]
+            diags.append(warning(E_CARD_MULTIPLE, message, decl.file, decl.line))
 
     checked = len(o.data_assertions) + len(o.obj_assertions)
     return ValidationReport(tuple(sort_diagnostics(diags)), checked)

@@ -2,12 +2,15 @@
 
 The reference functions recompute results by direct definition (a walk up
 from each class, per-individual path walks, assertion scans) so the tests
-never reuse the code paths they are checking.
+never reuse the code paths they are checking: the parents, asserted types
+and declaration sites they walk come from a scan of the ontology's axioms.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
+from dataclasses import dataclass
 from decimal import Decimal
 
 from ontokit.dlquery import And, ClassExpr, Named, QueryMode, Some, ValueData, ValueObj, make_and
@@ -92,16 +95,59 @@ def transitive_reduction(direct_parents: dict[str, frozenset[str]]) -> set[tuple
     return pairs
 
 
+@dataclass(frozen=True)
+class _Facts:
+    """What the oracles read of an ontology, collected from its axioms alone:
+    each class's direct parents (Thing for a parentless class, none for
+    Thing), and each individual's asserted types and first declaration site."""
+
+    parents: dict[str, frozenset[str]]
+    types: dict[str, set[str]]
+    sites: dict[str, tuple[str, int]]
+
+
+# `Ontology` hashes by identity, so an entry lives exactly as long as its
+# ontology, and an oracle that walks every individual scans the axioms once.
+_FACTS: weakref.WeakKeyDictionary[Ontology, _Facts] = weakref.WeakKeyDictionary()
+
+
+def _facts(onto: Ontology) -> _Facts:
+    facts = _FACTS.get(onto)
+    if facts is None:
+        parents: dict[str, set[str]] = {}
+        types: dict[str, set[str]] = {}
+        sites: dict[str, tuple[str, int]] = {}
+        for ax in onto.axioms:
+            if isinstance(ax, ClassDecl):
+                parents.setdefault(ax.name, set())
+            elif isinstance(ax, SubClassOf):
+                parents.setdefault(ax.child, set()).add(ax.parent)
+            elif isinstance(ax, IndividualDecl):
+                types.setdefault(ax.name, set()).update(ax.types)
+                sites.setdefault(ax.name, (ax.file, ax.line))
+        frozen = {c: frozenset(ps or {THING}) for c, ps in parents.items()}
+        frozen[THING] = frozenset()
+        facts = _FACTS[onto] = _Facts(frozen, types, sites)
+    return facts
+
+
+def direct_parents(onto: Ontology) -> dict[str, frozenset[str]]:
+    """Each class's asserted parents, Thing for a parentless class, and
+    none for Thing: the edges every taxonomy oracle walks."""
+    return _facts(onto).parents
+
+
 def walk_types(onto: Ontology, individual: str) -> set[str]:
     """Classes reachable from an individual's asserted types by path walking."""
+    facts = _facts(onto)
     seen: set[str] = set()
-    stack = list(onto.asserted_types.get(individual, ()))
+    stack = list(facts.types.get(individual, ()))
     while stack:
         t = stack.pop()
         if t in seen:
             continue
         seen.add(t)
-        stack.extend(onto.direct_parents.get(t, ()))
+        stack.extend(facts.parents.get(t, ()))
     return seen
 
 
@@ -147,7 +193,7 @@ def oracle_taxonomy(onto: Ontology, names: list[str], mode: QueryMode) -> list[s
     by definition over `reachability`: the classes strictly above
     (or below) every name, and in a direct mode only those with no other
     answer between them and the names."""
-    reach = reachability(onto.direct_parents)
+    reach = reachability(direct_parents(onto))
     if mode in (QueryMode.SUPERCLASSES, QueryMode.DIRECT_SUPERCLASSES):
         found = {c for c in reach if all(c in reach[n] for n in names)}
         if mode is QueryMode.DIRECT_SUPERCLASSES:
@@ -163,7 +209,7 @@ def oracle_cycles(onto: Ontology) -> list[tuple[str, str, int]]:
     """`(message, file, line)` of each subclass cycle, by direct definition:
     classes that reach each other under `reachability` form a cycle,
     anchored at its earliest `(file, line)` edge between two of its classes."""
-    reach = reachability(onto.direct_parents)
+    reach = reachability(direct_parents(onto))
     cycles = {
         frozenset(d for d in reach[c] if c in reach[d]) for c in reach if c in reach[c]
     }
@@ -281,7 +327,7 @@ def oracle_validate(onto: Ontology) -> list[tuple[str, str, int]]:
             if decl.domain in walk_types(onto, ind) and not any(
                 (ax.prop, ax.subject) == (prop, ind) for ax in data
             ):
-                found.append(("E_CARD_MULTIPLE", *onto.individual_locations.get(ind, ("", 0))))
+                found.append(("E_CARD_MULTIPLE", *_facts(onto).sites[ind]))
     return found
 
 

@@ -252,7 +252,7 @@ class TestEvalInstances:
                 )
 
     def test_subclass_instances_flow_up(self, corpus, corpus_closure, corpus_realization):
-        for child, parents in corpus.direct_parents.items():
+        for child, parents in corpus_closure.direct_parents.items():
             child_inst = set(
                 eval_query(corpus, corpus_closure, corpus_realization, Named(child), QueryMode.INSTANCES)
             )

@@ -34,12 +34,20 @@ from ontokit.model import (
     is_datetime,
 )
 from ontokit.oft import serialize_oft
+from ontokit.reasoner import compute_closure
 
 
 def build_ok(axioms, name="t"):
     onto, diags = build_ontology(name, axioms)
     assert onto is not None, diags
     return onto
+
+
+def parents_of(onto):
+    """The direct parent map `compute_closure` builds for `onto`."""
+    closure, diags = compute_closure(onto)
+    assert closure is not None, diags
+    return closure.direct_parents
 
 
 class TestLiteral:
@@ -278,7 +286,7 @@ class TestFacetSpec:
 class TestBuildOntology:
     def test_single_class_under_implicit_root(self):
         onto = build_ok([ClassDecl("A")])
-        assert onto.direct_parents["A"] == {THING}
+        assert parents_of(onto) == {"A": {THING}, THING: set()}
         assert onto.symbols["A"] is Kind.CLASS
 
     def test_asserted_parent_plus_implicit_root(self):
@@ -289,8 +297,9 @@ class TestBuildOntology:
                 SubClassOf("Dates", "Date_fruit"),
             ]
         )
-        assert onto.direct_parents["Dates"] == {"Date_fruit"}
-        assert onto.direct_parents["Date_fruit"] == {THING}
+        parents = parents_of(onto)
+        assert parents["Dates"] == {"Date_fruit"}
+        assert parents["Date_fruit"] == {THING}
 
     def test_invalid_ontology_name(self):
         onto, diags = build_ontology("1x", [])
@@ -542,7 +551,11 @@ class TestBuildOntology:
                 assert o.ranges == {
                     ax.name: ax.range for ax in props if isinstance(ax, ObjPropDecl)
                 }
-                assert o.individual_locations == {
+                assert {
+                    name: (ax.file, ax.line)
+                    for (name, kind), ax in o.declarations.items()
+                    if kind is Kind.INDIVIDUAL
+                } == {
                     ax.name: (ax.file, ax.line)
                     for (t, _), ax in first.items()
                     if t is IndividualDecl
@@ -558,19 +571,21 @@ class TestBuildOntology:
                 assert o.data_assertions == tuple(
                     ax for ax in o.axioms if isinstance(ax, DataAssertion)
                 )
-                for cls, parents in o.direct_parents.items():
+                parents = parents_of(o)
+                assert set(parents) == o.classes | {THING} and parents[THING] == set()
+                for cls in o.classes:
                     asserted = {
                         ax.parent
                         for ax in o.axioms
                         if isinstance(ax, SubClassOf) and ax.child == cls
                     }
-                    assert parents == (asserted or {THING})
+                    assert parents[cls] == (asserted or {THING})
 
     def test_referential_closure_full_scan(self, corpus):
         for ax in corpus.axioms:
             assert list(ax.unsound_references(corpus.symbols)) == []
 
-    def test_implicit_root_totality(self, corpus):
+    def test_implicit_root_totality(self, corpus, corpus_closure):
         for cls in corpus.classes:
             seen = set()
             frontier = {cls}
@@ -579,7 +594,7 @@ class TestBuildOntology:
                 if node in seen:
                     continue
                 seen.add(node)
-                frontier |= set(corpus.direct_parents.get(node, ()))
+                frontier |= set(corpus_closure.direct_parents.get(node, ()))
             assert THING in seen
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import replace
 
 import bruteforce
-from ontokit.model import DataAssertion, DataPropDecl, Severity, build_ontology
+from ontokit.model import DataAssertion, DataPropDecl, IndividualDecl, Severity, build_ontology
 from ontokit.oft import parse_oft
 from ontokit.reasoner import compute_closure, realize
 from ontokit.validator import validate
@@ -190,6 +190,34 @@ class TestOracle:
             "E_DOMAIN",
             "E_RANGE",
         }, seen
+
+    def test_a_redeclared_individual_is_warned_of_at_its_first_declaration(self):
+        """`E_CARD_MULTIPLE` falls on an individual's first declaration,
+        whether the individual is declared again in the same build or in an
+        extension by `base=`; the oracle places it by its own axiom scan."""
+        rng = random.Random(23)
+        placed: Counter[str] = Counter()
+        for _ in range(100):
+            onto = bruteforce.random_ontology(rng)
+            axioms = [replace(ax, file="t.oft", line=i + 1) for i, ax in enumerate(onto.axioms)]
+            again = [
+                IndividualDecl(ind, (rng.choice(sorted(onto.classes)),), file="u.oft", line=i + 1)
+                for i, ind in enumerate(rng.sample(sorted(onto.individuals), 4))
+            ]
+            first, diags = build_ontology("t", axioms + again[:2])
+            assert first is not None, diags
+            onto, diags = build_ontology("t", again[2:], base=first)
+            assert onto is not None, diags
+            closure, _ = compute_closure(onto)
+            report = validate(onto, realize(onto, closure))
+            got = sorted((d.code, d.file, d.line) for d in report.diagnostics)
+            assert got == sorted(bruteforce.oracle_validate(onto))
+            redeclared = {ax.name: "build" for ax in again[:2]} | {ax.name: "base" for ax in again[2:]}
+            for d in report.diagnostics:
+                name = d.message.split()[0]
+                if d.code == "E_CARD_MULTIPLE" and name in redeclared:
+                    placed[redeclared[name]] += 1
+        assert min(placed["build"], placed["base"]) >= 10, placed
 
 
 def findings(extra: str):
