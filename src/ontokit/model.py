@@ -510,9 +510,9 @@ class Ontology:
     name: str
     axioms: tuple[Axiom, ...]
     symbols: dict[str, Kind]
-    #: First declaration axiom of each (name, kind), in axiom order: the
-    #: contract views below read it, and an individual's places its findings.
-    #: Only a property's declaration carries a contract.
+    #: First declaration axiom of each (name, kind), in axiom order. A
+    #: property's holds its contract (facet, domain, range), which a build
+    #: keeps a re-declaration from changing; an individual's places its findings.
     declarations: dict[tuple[str, Kind], Axiom]
     #: The axioms grouped by variant, each group in axiom order; one pass
     #: of the build serves every view below.
@@ -547,23 +547,6 @@ class Ontology:
         for ax in self._all(IndividualDecl):
             acc.setdefault(ax.name, set()).update(ax.types)
         return {name: frozenset(types) for name, types in acc.items()}
-
-    def _first(self, *variants: type) -> list:
-        """Each name's first declaration, where it is one of `variants`."""
-        return [ax for ax in self.declarations.values() if isinstance(ax, variants)]
-
-    @cached_property
-    def facets(self) -> dict[str, FacetSpec]:
-        return {ax.name: ax.facet for ax in self._first(DataPropDecl)}
-
-    @cached_property
-    def domains(self) -> dict[str, Optional[str]]:
-        """Declared domain per property (object and data alike)."""
-        return {ax.name: ax.domain for ax in self._first(ObjPropDecl, DataPropDecl)}
-
-    @cached_property
-    def ranges(self) -> dict[str, Optional[str]]:
-        return {ax.name: ax.range for ax in self._first(ObjPropDecl)}
 
     @cached_property
     def obj_assertions(self) -> tuple[ObjAssertion, ...]:

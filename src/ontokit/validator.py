@@ -2,7 +2,9 @@
 
 Checks every data assertion against its property's facet (value type,
 allowed values, cardinality) and every object assertion against the
-property's domain and range. Each property's distinct values, and its
+property's domain and range. A property's contract is read from its first
+declaration (`Ontology.declarations`), the one a build keeps any
+re-declaration from changing. Each property's distinct values, and its
 subjects or objects as one set, are tested once; its assertions are walked
 only to place findings. Validation never throws; all findings land in the
 report, sorted by file, line, and code.
@@ -88,12 +90,13 @@ def validate(o: Ontology, realization: Realization) -> ValidationReport:
         groups[ax.prop].append(ax)
 
     for prop, group in groups.items():
-        facet = o.facets.get(prop)
-        if facet is not None:
-            diags += _value_faults(prop, facet, group)
+        decl = o.declarations[prop, o.symbols[prop]]
+        data = decl.declares is Kind.DATA_PROPERTY
+        if data:
+            diags += _value_faults(prop, decl.facet, group)
         for code, what, cls, name in (
-            (E_DOMAIN, "domain", o.domains.get(prop), _SUBJECT),
-            (E_RANGE, "range", o.ranges.get(prop), _OBJECT),
+            (E_DOMAIN, "domain", decl.domain, _SUBJECT),
+            (E_RANGE, "range", None if data else decl.range, _OBJECT),
         ):
             # One test of the group's names; a walk only to find the outsiders.
             if cls is not None and not (inside := members[cls]).issuperset(map(name, group)):
@@ -105,13 +108,13 @@ def validate(o: Ontology, realization: Realization) -> ValidationReport:
     # Multiple cardinality reads as "at least one value"; absence is only a
     # warning so half-authored individuals do not hard-fail.
     for prop in o.data_properties:
-        domain = o.domains.get(prop)
-        if o.facets[prop].cardinality is not Cardinality.MULTIPLE or domain is None:
+        decl = o.declarations[prop, Kind.DATA_PROPERTY]
+        if decl.facet.cardinality is not Cardinality.MULTIPLE or decl.domain is None:
             continue
-        for ind in members[domain].difference(map(_SUBJECT, groups.get(prop, ()))):
+        for ind in members[decl.domain].difference(map(_SUBJECT, groups.get(prop, ()))):
             message = f"{ind} has no value for multiple-cardinality {prop}"
-            decl = o.declarations[ind, Kind.INDIVIDUAL]
-            diags.append(warning(E_CARD_MULTIPLE, message, decl.file, decl.line))
+            site = o.declarations[ind, Kind.INDIVIDUAL]
+            diags.append(warning(E_CARD_MULTIPLE, message, site.file, site.line))
 
     checked = len(o.data_assertions) + len(o.obj_assertions)
     return ValidationReport(tuple(sort_diagnostics(diags)), checked)

@@ -423,6 +423,27 @@ class TestIngest:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "mapping, entry", [("bad", "bad"), ("=p", "=p"), ("h=", "h="), ("a=p,", "")]
+    )
+    def test_malformed_map_is_refused_before_the_load(
+        self, corpus_files, tmp_path, monkeypatch, capsys, mapping, entry
+    ):
+        """A malformed `--map` exits 2 with its one line, and nothing is
+        loaded; so it wins over a file that would fail to load."""
+        loads = []
+        monkeypatch.setattr(cli, "_load", lambda *args, **kwargs: loads.append(args))
+        csv_path = write(tmp_path / "r.csv", "id,year\nKhalas,1800\n")
+        out = tmp_path / "o.oft"
+        for files in (corpus_files, [str(tmp_path / "missing.oft")]):
+            argv = ["ingest", *files, "--csv", csv_path, "--class", "Species"]
+            assert run([*argv, "--map", mapping, "-o", str(out)]) == 2
+            assert capsys.readouterr() == (
+                "", f"error: bad --map entry {entry!r}; expected header=property\n"
+            )
+            assert not out.exists()
+        assert loads == []
+
     def test_empty_csv_writes_the_ontology_unchanged(self, corpus_files, tmp_path, capsys):
         csv_path = write(tmp_path / "r.csv", "")
         out = tmp_path / "o.oft"
@@ -744,14 +765,16 @@ class TestLazyViews:
         (closure,), (realization,) = made["closures"], made["realizations"]
         assert not self.computed(closure.ancestors) and not self.computed(closure.descendants)
         assert not self.computed(realization.types_of)
+        # Each property's contract, from its first declaration.
+        decl = {name: ax for (name, _), ax in corpus.declarations.items()}
         asserted = {ax.prop for ax in corpus.obj_assertions + corpus.data_assertions}
-        read = {corpus.domains[p] for p in asserted} | {
-            corpus.ranges[ax.prop] for ax in corpus.obj_assertions
+        read = {decl[p].domain for p in asserted} | {
+            decl[ax.prop].range for ax in corpus.obj_assertions
         }
         read |= {
-            corpus.domains[p]
+            decl[p].domain
             for p in corpus.data_properties
-            if corpus.facets[p].cardinality is Cardinality.MULTIPLE
+            if decl[p].facet.cardinality is Cardinality.MULTIPLE
         }
         read.discard(None)
         assert read and self.computed(realization.members_of) == read

@@ -98,7 +98,8 @@ class TestFixtureContent:
         assert values == [Literal(ValueType.STRING, "honey balls")]
 
     def test_date_of_origin_is_number_typed(self, corpus):
-        assert corpus.facets["has_date_of_origin"].value_type is ValueType.NUMBER
+        decl = corpus.declarations["has_date_of_origin", Kind.DATA_PROPERTY]
+        assert decl.facet.value_type is ValueType.NUMBER
 
     def test_golden_class_count_matches_fixture_text(self, corpus):
         text = (corpus_dir() / "date_fruit.oft").read_text(encoding="utf-8")

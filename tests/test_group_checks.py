@@ -175,16 +175,16 @@ def reference_ingest(o, csv_text, target_class, column_map, file_name="<csv>"):
             cell = row[columns[header]]
             if cell == "":
                 continue
+            facet = o.declarations[prop, Kind.DATA_PROPERTY].facet
             lit = literals.get((prop, cell))
             if lit is None:
-                facet = o.facets[prop]
                 lit = ontokit.exchange._parse_cell(cell, facet)
                 if lit is None:
                     message = f"cell {cell!r} is not a {facet.value_type.value} for {prop}"
                     diags.append(error(E_TYPE_MISMATCH, message, file_name, line))
                     continue
                 literals[prop, cell] = lit
-            if prop in valued and o.facets[prop].cardinality is Cardinality.SINGLE:
+            if prop in valued and facet.cardinality is Cardinality.SINGLE:
                 message = f"{row_id} has more than one value for single-cardinality {prop}"
                 diags.append(error(E_CARD_SINGLE, message, file_name, line))
                 continue
@@ -335,7 +335,7 @@ def draw_csv(rng: random.Random, o: Ontology) -> tuple[str, list[tuple[str, str]
     def cell(column):
         if column == "unread":
             return rng.choice(["", "n/a", "x"])
-        facet = o.facets[dict(column_map)[column]]
+        facet = o.declarations[dict(column_map)[column], Kind.DATA_PROPERTY].facet
         if rng.random() < 0.2:
             return rng.choice(["", *(lexical for _, lexical in VALUES)])
         return bruteforce.random_literal(rng, facet).lexical

@@ -542,23 +542,23 @@ class TestBuildOntology:
                 first = {}
                 for ax in o.axioms:
                     if isinstance(ax, (ObjPropDecl, DataPropDecl, IndividualDecl)):
-                        first.setdefault((type(ax), ax.name), ax)
-                props = [ax for (t, _), ax in first.items() if t is not IndividualDecl]
-                assert o.facets == {
-                    ax.name: ax.facet for ax in props if isinstance(ax, DataPropDecl)
-                }
-                assert o.domains == {ax.name: ax.domain for ax in props}
-                assert o.ranges == {
-                    ax.name: ax.range for ax in props if isinstance(ax, ObjPropDecl)
-                }
+                        first.setdefault((ax.name, ax.declares), ax)
+                # A property's contract is read from its first declaration, that very axiom.
+                props = {key: ax for key, ax in first.items() if key[1] is not Kind.INDIVIDUAL}
+                assert {
+                    key for key in o.declarations
+                    if key[1] in (Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY)
+                } == props.keys()
+                for key, ax in props.items():
+                    assert o.declarations[key] is ax
                 assert {
                     name: (ax.file, ax.line)
                     for (name, kind), ax in o.declarations.items()
                     if kind is Kind.INDIVIDUAL
                 } == {
-                    ax.name: (ax.file, ax.line)
-                    for (t, _), ax in first.items()
-                    if t is IndividualDecl
+                    name: (ax.file, ax.line)
+                    for (name, kind), ax in first.items()
+                    if kind is Kind.INDIVIDUAL
                 }
                 types = {}
                 for ax in o.axioms:

@@ -7,7 +7,14 @@ from collections import Counter
 from dataclasses import replace
 
 import bruteforce
-from ontokit.model import DataAssertion, DataPropDecl, IndividualDecl, Severity, build_ontology
+from ontokit.model import (
+    DataAssertion,
+    DataPropDecl,
+    IndividualDecl,
+    Kind,
+    Severity,
+    build_ontology,
+)
 from ontokit.oft import parse_oft
 from ontokit.reasoner import compute_closure, realize
 from ontokit.validator import validate
@@ -132,7 +139,8 @@ class TestReportShape:
         for ax in corpus.data_assertions:
             counts[(ax.prop, ax.subject)] = counts.get((ax.prop, ax.subject), 0) + 1
         for (prop, _), n in counts.items():
-            if corpus.facets[prop].cardinality is Cardinality.SINGLE:
+            decl = corpus.declarations[prop, Kind.DATA_PROPERTY]
+            if decl.facet.cardinality is Cardinality.SINGLE:
                 assert n == 1
 
     def test_sorted_and_deterministic(self):
