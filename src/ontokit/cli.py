@@ -136,15 +136,15 @@ def _parse_column_map(raw: str) -> list[tuple[str, str]]:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    # The map is parsed first: a malformed one is reported without a load.
+    # The map is parsed and the CSV read first: either fault is reported without a load.
     try:
         column_map = _parse_column_map(args.map)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    csv_text = _read_text(args.csv)
     # The result is the input plus individuals, so a cycle in the input is one in it.
     onto, _ = _load(args.files)
-    csv_text = _read_text(args.csv)
     axioms, ingest_diags = ingest_csv(
         onto, csv_text, args.target_class, column_map, file_name=args.csv
     )

@@ -15,11 +15,7 @@ QUERIES_FILE = "queries.tsv"
 
 
 def corpus_dir() -> Path:
-    # Imported here: `importlib.resources` brings `zipfile` and `tempfile`,
-    # which no command needs, into every start of the program.
-    from importlib import resources
-
-    return Path(str(resources.files(__package__) / "corpus"))
+    return Path(__file__).with_name("corpus")
 
 
 def corpus_paths() -> list[Path]:

@@ -192,7 +192,7 @@ def ingest_csv(
     ids, body = list(kept), list(kept.values())
     axioms = list(map(IndividualDecl.make, ids, repeat((target_class,)), repeat(file_name), lines))
     for header, prop in column_map:
-        facet = o.declarations[prop, Kind.DATA_PROPERTY].facet
+        facet = o.declarations[prop].facet
         cells = list(map(itemgetter(columns[header]), body))
         literals = {cell: _parse_cell(cell, facet) for cell in set(cells) - {""}}
         values = list(map(literals.get, cells))
@@ -207,7 +207,7 @@ def ingest_csv(
     # from one row. Its new assertions follow the declarations, by column.
     for prop in [p for p, n in Counter(map(itemgetter(1), column_map)).items() if n > 1]:
         group = [ax for ax in axioms[len(ids):] if ax.prop == prop]
-        diags += _card_faults(prop, o.declarations[prop, Kind.DATA_PROPERTY].facet, group)
+        diags += _card_faults(prop, o.declarations[prop].facet, group)
     if diags:
         return [], sort_diagnostics(diags)
     # Stable: each row's declaration, then its values in column-map order.
@@ -237,7 +237,7 @@ def _conflict(ax: Axiom, a: Ontology, symbols: dict[str, Kind]) -> Optional[Faul
                 f"{decl_name} is {prior.value} in the first ontology, "
                 f"{kind.value} in the second; keeping the first",
             )
-        first = a.declarations.get((decl_name, kind))
+        first = a.declarations.get(decl_name)
         clash = ax.contract_clash(first) if first is not None else None
         if clash is not None:
             return Fault(clash.code, f"{clash.message}; keeping the first")

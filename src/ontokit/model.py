@@ -55,7 +55,7 @@ class Kind(Enum):
     """What a declared name denotes."""
 
     # Members compare by identity; so hashing them is a C call, where
-    # Enum's is a Python one. Loading hashes one per declaration and literal.
+    # Enum's is a Python one. A build's reference checks hash one per distinct name.
     __hash__ = object.__hash__
 
     CLASS = "class"
@@ -510,19 +510,16 @@ class Ontology:
     name: str
     axioms: tuple[Axiom, ...]
     symbols: dict[str, Kind]
-    #: First declaration axiom of each (name, kind), in axiom order. A
+    #: First declaration axiom of each declared name, in axiom order. A
     #: property's holds its contract (facet, domain, range), which a build
     #: keeps a re-declaration from changing; an individual's places its findings.
-    declarations: dict[tuple[str, Kind], Axiom]
+    declarations: dict[str, Axiom]
     #: The axioms grouped by variant, each group in axiom order; one pass
     #: of the build serves every view below.
     by_variant: dict[type, tuple[Axiom, ...]] = field(repr=False)
 
     def _names_of(self, kind: Kind) -> frozenset[str]:
         return frozenset(n for n, k in self.symbols.items() if k is kind)
-
-    def _all(self, variant: type) -> tuple:
-        return self.by_variant.get(variant, ())
 
     @cached_property
     def classes(self) -> frozenset[str]:
@@ -544,17 +541,17 @@ class Ontology:
     @cached_property
     def asserted_types(self) -> dict[str, frozenset[str]]:
         acc: dict[str, set[str]] = {}
-        for ax in self._all(IndividualDecl):
+        for ax in self.by_variant.get(IndividualDecl, ()):
             acc.setdefault(ax.name, set()).update(ax.types)
         return {name: frozenset(types) for name, types in acc.items()}
 
     @cached_property
     def obj_assertions(self) -> tuple[ObjAssertion, ...]:
-        return self._all(ObjAssertion)
+        return self.by_variant.get(ObjAssertion, ())
 
     @cached_property
     def data_assertions(self) -> tuple[DataAssertion, ...]:
-        return self._all(DataAssertion)
+        return self.by_variant.get(DataAssertion, ())
 
 
 def _refers_soundly(group: Sequence[Axiom], symbols: dict[str, Kind]) -> bool:
@@ -596,7 +593,7 @@ def build_ontology(
         diags.append(error(E_SYNTAX, f"invalid ontology name {name!r}"))
 
     symbols: dict[str, Kind] = {THING: Kind.CLASS}
-    first_decls: dict[tuple[str, Kind], Axiom] = {}
+    first_decls: dict[str, Axiom] = {}
     kept: tuple[Axiom, ...] = ()
     by_variant: dict[type, tuple[Axiom, ...]] = {}
     if base is not None:
@@ -611,9 +608,9 @@ def build_ontology(
     names_valid = all(map(IDENT_RE.match, map(attrgetter("name"), decls)))
     for ax in decls:
         kind, decl_name = ax.declares, ax.name
-        # Re-declaring a property must not change its contract.
-        first = first_decls.setdefault((decl_name, kind), ax)
-        if first is not ax:
+        # Re-declaring a name as the same kind must not change its contract.
+        first = first_decls.setdefault(decl_name, ax)
+        if first is not ax and first.declares is kind:
             clash = ax.contract_clash(first)
             if clash is not None:
                 diags.append(clash.diagnostic(ax.file, ax.line))

@@ -268,7 +268,7 @@ def compute_closure(o: Ontology) -> tuple[Optional[TaxonomyClosure], list[Diagno
     every class on it, and no closure.
     """
     asserted: dict[str, set[str]] = {c: set() for c in o.classes}
-    for ax in o._all(SubClassOf):
+    for ax in o.by_variant.get(SubClassOf, ()):
         asserted[ax.child].add(ax.parent)
     # A parentless class sits under the implicit root, which has no parent.
     parents = {c: frozenset(ps or {THING}) for c, ps in asserted.items()}
@@ -284,7 +284,7 @@ def compute_closure(o: Ontology) -> tuple[Optional[TaxonomyClosure], list[Diagno
     # One pass over the edges finds each cycle's earliest internal edge.
     cycle_of = {name: i for i, cycle in enumerate(cycles) for name in cycle}
     anchors: dict[int, tuple[str, int]] = {}
-    for ax in o._all(SubClassOf):
+    for ax in o.by_variant.get(SubClassOf, ()):
         i = cycle_of.get(ax.child)
         if i is not None and cycle_of.get(ax.parent) == i:
             anchors[i] = min(anchors.get(i, (ax.file, ax.line)), (ax.file, ax.line))
@@ -305,7 +305,7 @@ def realize(o: Ontology, closure: TaxonomyClosure) -> Realization:
     individuals = tuple(sorted(o.individuals))
     position = dict(zip(individuals, range(len(individuals))))
     asserted: dict[str, list[int]] = {}
-    for ax in o._all(IndividualDecl):
+    for ax in o.by_variant.get(IndividualDecl, ()):
         for t in ax.types:
             asserted.setdefault(t, []).append(position[ax.name])
     # A name that is no class fails at its walk's first step.

@@ -2,8 +2,8 @@
 
 Checks every data assertion against its property's facet (value type,
 allowed values, cardinality) and every object assertion against the
-property's domain and range. A property's contract is read from its first
-declaration (`Ontology.declarations`), the one a build keeps any
+property's domain and range. A property's contract is read from its name's
+first declaration in `Ontology.declarations`, the one a build keeps any
 re-declaration from changing. Each property's distinct values, and its
 subjects or objects as one set, are tested once; its assertions are walked
 only to place findings. Validation never throws; all findings land in the
@@ -90,7 +90,7 @@ def validate(o: Ontology, realization: Realization) -> ValidationReport:
         groups[ax.prop].append(ax)
 
     for prop, group in groups.items():
-        decl = o.declarations[prop, o.symbols[prop]]
+        decl = o.declarations[prop]
         data = decl.declares is Kind.DATA_PROPERTY
         if data:
             diags += _value_faults(prop, decl.facet, group)
@@ -108,12 +108,12 @@ def validate(o: Ontology, realization: Realization) -> ValidationReport:
     # Multiple cardinality reads as "at least one value"; absence is only a
     # warning so half-authored individuals do not hard-fail.
     for prop in o.data_properties:
-        decl = o.declarations[prop, Kind.DATA_PROPERTY]
+        decl = o.declarations[prop]
         if decl.facet.cardinality is not Cardinality.MULTIPLE or decl.domain is None:
             continue
         for ind in members[decl.domain].difference(map(_SUBJECT, groups.get(prop, ()))):
             message = f"{ind} has no value for multiple-cardinality {prop}"
-            site = o.declarations[ind, Kind.INDIVIDUAL]
+            site = o.declarations[ind]
             diags.append(warning(E_CARD_MULTIPLE, message, site.file, site.line))
 
     checked = len(o.data_assertions) + len(o.obj_assertions)

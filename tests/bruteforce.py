@@ -23,7 +23,6 @@ from ontokit.model import (
     FacetSpec,
     IDENT_RE,
     IndividualDecl,
-    Kind,
     Literal,
     NUMBER_RE,
     ObjAssertion,
@@ -494,7 +493,7 @@ def random_expr(rng: random.Random, onto: Ontology, depth: int = 2) -> ClassExpr
     if asserted and rng.random() < 0.7:
         value = rng.choice(asserted)
     else:
-        value = random_literal(rng, onto.declarations[prop, Kind.DATA_PROPERTY].facet)
+        value = random_literal(rng, onto.declarations[prop].facet)
     return ValueData(prop, value)
 
 

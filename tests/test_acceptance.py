@@ -23,7 +23,6 @@ from ontokit.dlquery import QueryMode, eval_query, parse_query
 from ontokit.exchange import export_dot, merge
 from ontokit.model import (
     IndividualDecl,
-    Kind,
     ValueType,
     build_ontology,
     canonical_axioms,
@@ -199,7 +198,7 @@ def test_criterion_6_merge_algebra(corpus):
     clash_report = merge(corpus, other, "merged")
     ok &= len(clash_report.conflicts) == 1
     ok &= clash_report.conflicts[0].code == "E_FACET_CLASH"
-    kept = clash_report.merged.declarations["has_date_of_origin", Kind.DATA_PROPERTY]
+    kept = clash_report.merged.declarations["has_date_of_origin"]
     ok &= kept.facet.value_type is ValueType.NUMBER
     report(6, "merge algebra", ok)
 

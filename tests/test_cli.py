@@ -113,15 +113,16 @@ class TestCheck:
     )
     def test_cycle_stops_query_and_export(self, tmp_path, monkeypatch, capsys, command):
         """Every command loads through the same stages and stops at the
-        first that fails, with its findings; the CSV is never read. A file
-        that does not parse stops all six before the closure. A subclass
-        cycle stops the commands that close their input: `check` prints its
-        summary and realizes nothing. `stats` and `merge` do not close
-        theirs: `stats` counts, and `merge` writes the union and reports
-        its cycle as a conflict."""
+        first that fails, with its findings; `ingest` reads its CSV before
+        the load and never ingests it. A file that does not parse stops all
+        six before the closure. A subclass cycle stops the commands that
+        close their input: `check` prints its summary and realizes nothing.
+        `stats` and `merge` do not close theirs: `stats` counts, and `merge`
+        writes the union and reports its cycle as a conflict."""
         monkeypatch.chdir(tmp_path)
+        write(tmp_path / "rows.csv", "id,y\nq,1\n")
         called = []
-        for name in ("compute_closure", "realize"):
+        for name in ("compute_closure", "realize", "ingest_csv"):
             real = getattr(cli, name)
             spy = lambda *args, real=real, name=name: called.append(name) or real(*args)
             monkeypatch.setattr(cli, name, spy)
@@ -442,6 +443,28 @@ class TestIngest:
                 "", f"error: bad --map entry {entry!r}; expected header=property\n"
             )
             assert not out.exists()
+        assert loads == []
+
+    def test_unreadable_csv_is_refused_before_the_load(
+        self, corpus_files, tmp_path, monkeypatch, capsys
+    ):
+        """A missing or undecodable `--csv` exits 2 with its one line, and
+        nothing is loaded; so it wins over a file that would fail to load."""
+        loads = []
+        monkeypatch.setattr(cli, "_load", lambda *args, **kwargs: loads.append(args))
+        missing, undecodable = tmp_path / "missing.csv", tmp_path / "bad.csv"
+        undecodable.write_bytes(b"id,year\nKh\xe9las,1800\n")
+        decode = "'utf-8' codec can't decode byte 0xe9 in position 10: invalid continuation byte"
+        out = tmp_path / "o.oft"
+        for csv_path, line in [
+            (missing, f"[Errno 2] No such file or directory: {str(missing)!r}"),
+            (undecodable, f"{undecodable}: {decode}"),
+        ]:
+            for files in (corpus_files, [str(tmp_path / "missing.oft")]):
+                argv = ["ingest", *files, "--csv", str(csv_path), "--class", "Species"]
+                assert run([*argv, "--map", "year=has_date_of_origin", "-o", str(out)]) == 2
+                assert capsys.readouterr() == ("", f"error: {line}\n")
+                assert not out.exists()
         assert loads == []
 
     def test_empty_csv_writes_the_ontology_unchanged(self, corpus_files, tmp_path, capsys):
@@ -766,7 +789,7 @@ class TestLazyViews:
         assert not self.computed(closure.ancestors) and not self.computed(closure.descendants)
         assert not self.computed(realization.types_of)
         # Each property's contract, from its first declaration.
-        decl = {name: ax for (name, _), ax in corpus.declarations.items()}
+        decl = corpus.declarations
         asserted = {ax.prop for ax in corpus.obj_assertions + corpus.data_assertions}
         read = {decl[p].domain for p in asserted} | {
             decl[ax.prop].range for ax in corpus.obj_assertions
@@ -859,9 +882,8 @@ def test_python_m_entry_points(tmp_path, module):
 
 
 def test_start_leaves_package_resources_unloaded():
-    """`importlib.resources` (which loads `zipfile` and `tempfile`) is
-    imported when the corpus is read, not at every start of the CLI. `-S`
-    keeps `site` from importing it first."""
+    """`importlib.resources` (which loads `zipfile` and `tempfile`) is not
+    imported at a start of the CLI. `-S` keeps `site` from importing it first."""
     src = str(Path(ontokit.__file__).resolve().parents[1])
     code = "import sys, ontokit.cli; print('importlib.resources' in sys.modules)"
     result = subprocess.run(

@@ -98,7 +98,7 @@ class TestFixtureContent:
         assert values == [Literal(ValueType.STRING, "honey balls")]
 
     def test_date_of_origin_is_number_typed(self, corpus):
-        decl = corpus.declarations["has_date_of_origin", Kind.DATA_PROPERTY]
+        decl = corpus.declarations["has_date_of_origin"]
         assert decl.facet.value_type is ValueType.NUMBER
 
     def test_golden_class_count_matches_fixture_text(self, corpus):

@@ -19,7 +19,6 @@ from ontokit.model import (
     DataAssertion,
     DataPropDecl,
     IndividualDecl,
-    Kind,
     SubClassOf,
     THING,
     ValueType,
@@ -343,7 +342,7 @@ class TestIngestCsv:
             ("level", ValueType.NUMBER, "1.0"),
             ("rank", ValueType.NUMBER, "1.0"),
         ]
-        assert values[0][1] is onto.declarations["grade", Kind.DATA_PROPERTY].facet.allowed[0]
+        assert values[0][1] is onto.declarations["grade"].facet.allowed[0]
 
     def test_type_mismatch_cell(self):
         onto = parse_built(INGEST_BASE)
@@ -445,7 +444,7 @@ class TestMerge:
         assert report.conflicts[0].message == (
             "has_date_of_origin re-declared with a different facet; keeping the first"
         )
-        kept = report.merged.declarations["has_date_of_origin", Kind.DATA_PROPERTY]
+        kept = report.merged.declarations["has_date_of_origin"]
         assert kept.facet.value_type is ValueType.NUMBER
 
     def test_kind_clash_drops_dependents(self):
@@ -628,7 +627,7 @@ def test_ingest_extends_like_a_rebuild(seed):
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["id", *props])
-    facets = [onto.declarations[p, Kind.DATA_PROPERTY].facet for p in props]
+    facets = [onto.declarations[p].facet for p in props]
     for i in rng.sample(range(20), rng.randint(0, 8)):
         writer.writerow([f"r{i}"] + [bruteforce.random_literal(rng, f).lexical for f in facets])
     target = rng.choice(sorted(onto.classes))

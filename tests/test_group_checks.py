@@ -74,7 +74,7 @@ def reference_conflict(ax: Axiom, a: Ontology, symbols: dict[str, Kind]) -> Opti
                 f"{ax.name} is {prior.value} in the first ontology, "
                 f"{kind.value} in the second; keeping the first",
             )
-        first = a.declarations.get((ax.name, kind))
+        first = a.declarations.get(ax.name)
         clash = ax.contract_clash(first) if first is not None else None
         if clash is not None:
             return Fault(clash.code, f"{clash.message}; keeping the first")
@@ -175,7 +175,7 @@ def reference_ingest(o, csv_text, target_class, column_map, file_name="<csv>"):
             cell = row[columns[header]]
             if cell == "":
                 continue
-            facet = o.declarations[prop, Kind.DATA_PROPERTY].facet
+            facet = o.declarations[prop].facet
             lit = literals.get((prop, cell))
             if lit is None:
                 lit = ontokit.exchange._parse_cell(cell, facet)
@@ -335,7 +335,7 @@ def draw_csv(rng: random.Random, o: Ontology) -> tuple[str, list[tuple[str, str]
     def cell(column):
         if column == "unread":
             return rng.choice(["", "n/a", "x"])
-        facet = o.declarations[dict(column_map)[column], Kind.DATA_PROPERTY].facet
+        facet = o.declarations[dict(column_map)[column]].facet
         if rng.random() < 0.2:
             return rng.choice(["", *(lexical for _, lexical in VALUES)])
         return bruteforce.random_literal(rng, facet).lexical

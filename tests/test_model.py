@@ -335,6 +335,22 @@ class TestBuildOntology:
         assert onto is None
         assert any(d.code == "E_KIND_CLASH" for d in diags)
 
+        # A re-declaration of another kind is only a kind clash: its contract
+        # is compared with no declaration of the name.
+        axioms = [
+            ClassDecl("A", line=1),
+            ClassDecl("B", line=2),
+            DataPropDecl("p", FacetSpec(ValueType.NUMBER), line=3),
+            ObjPropDecl("p", None, "A", line=4),
+            ObjPropDecl("p", None, "B", line=5),
+        ]
+        onto, diags = build_ontology("t", axioms)
+        assert onto is None
+        assert [(d.code, d.message, d.line) for d in diags] == [
+            ("E_KIND_CLASH", "p already declared as data property", 4),
+            ("E_KIND_CLASH", "p already declared as data property", 5),
+        ]
+
     def test_kind_clash_on_use(self):
         onto, diags = build_ontology(
             "t",
@@ -541,25 +557,15 @@ class TestBuildOntology:
             for o in (onto, doubled, merged):
                 first = {}
                 for ax in o.axioms:
-                    if isinstance(ax, (ObjPropDecl, DataPropDecl, IndividualDecl)):
-                        first.setdefault((ax.name, ax.declares), ax)
-                # A property's contract is read from its first declaration, that very axiom.
-                props = {key: ax for key, ax in first.items() if key[1] is not Kind.INDIVIDUAL}
-                assert {
-                    key for key in o.declarations
-                    if key[1] in (Kind.OBJECT_PROPERTY, Kind.DATA_PROPERTY)
-                } == props.keys()
-                for key, ax in props.items():
-                    assert o.declarations[key] is ax
-                assert {
-                    name: (ax.file, ax.line)
-                    for (name, kind), ax in o.declarations.items()
-                    if kind is Kind.INDIVIDUAL
-                } == {
-                    name: (ax.file, ax.line)
-                    for (name, kind), ax in first.items()
-                    if kind is Kind.INDIVIDUAL
-                }
+                    if ax.declares is not None:
+                        first.setdefault(ax.name, ax)
+                # Each declared name keys its first declaration, that very
+                # axiom, whose kind is the name's symbol.
+                assert o.declarations.keys() == first.keys()
+                for name, ax in o.declarations.items():
+                    assert type(name) is str
+                    assert ax is first[name]
+                    assert ax.declares is o.symbols[name]
                 types = {}
                 for ax in o.axioms:
                     if isinstance(ax, IndividualDecl):

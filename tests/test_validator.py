@@ -11,7 +11,6 @@ from ontokit.model import (
     DataAssertion,
     DataPropDecl,
     IndividualDecl,
-    Kind,
     Severity,
     build_ontology,
 )
@@ -139,7 +138,7 @@ class TestReportShape:
         for ax in corpus.data_assertions:
             counts[(ax.prop, ax.subject)] = counts.get((ax.prop, ax.subject), 0) + 1
         for (prop, _), n in counts.items():
-            decl = corpus.declarations[prop, Kind.DATA_PROPERTY]
+            decl = corpus.declarations[prop]
             if decl.facet.cardinality is Cardinality.SINGLE:
                 assert n == 1
 
