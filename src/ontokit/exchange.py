@@ -25,7 +25,6 @@ from .model import (
     E_TYPE_MISMATCH,
     E_UNKNOWN_REF,
     FacetSpec,
-    Fault,
     IDENT_RE,
     IndividualDecl,
     Kind,
@@ -33,7 +32,6 @@ from .model import (
     Ontology,
     THING,
     ValueType,
-    _refers_soundly,
     build_ontology,
     error,
     is_ident,
@@ -222,17 +220,17 @@ class MergeReport:
     conflicts: tuple[Diagnostic, ...]
 
 
-def _conflict(ax: Axiom, a: Ontology, symbols: dict[str, Kind]) -> Optional[Fault]:
-    """The finding when the second ontology's `ax` may not join `a`:
-    it declares a name of `a` in another kind or with another contract, or
-    it refers to a name that `symbols`, a's symbols and the survivors so
-    far, lacks or holds in another kind."""
+def _conflict(ax: Axiom, a: Ontology, symbols: dict[str, Kind]) -> Diagnostic:
+    """The finding on the second ontology's `ax`, which the union's build
+    rejected: it declares a name of `a` in another kind or with another
+    contract, or it refers to a name that `symbols`, the union's, lacks or
+    holds in another kind."""
     kind = ax.declares
     if kind is not None:
         decl_name = ax.name
         prior = a.symbols.get(decl_name)
         if prior is not None and prior is not kind:
-            return Fault(
+            return ax.error(
                 E_KIND_CLASH,
                 f"{decl_name} is {prior.value} in the first ontology, "
                 f"{kind.value} in the second; keeping the first",
@@ -240,12 +238,11 @@ def _conflict(ax: Axiom, a: Ontology, symbols: dict[str, Kind]) -> Optional[Faul
         first = a.declarations.get(decl_name)
         clash = ax.contract_clash(first) if first is not None else None
         if clash is not None:
-            return Fault(clash.code, f"{clash.message}; keeping the first")
-    for ref_name, wanted, found in ax.unsound_references(symbols):
-        code = E_UNKNOWN_REF if found is None else E_KIND_CLASH
-        why = "not declared" if found is None else f"declared as {found.value}"
-        return Fault(code, f"dropped: {ref_name} is {why}, needed as {wanted.value}")
-    return None
+            return ax.error(clash.code, f"{clash.message}; keeping the first")
+    ref_name, wanted, found = next(ax.unsound_references(symbols))
+    code = E_UNKNOWN_REF if found is None else E_KIND_CLASH
+    why = "not declared" if found is None else f"declared as {found.value}"
+    return ax.error(code, f"dropped: {ref_name} is {why}, needed as {wanted.value}")
 
 
 def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
@@ -255,23 +252,19 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
     declared contract (facet, domain, range); the second ontology's
     conflicting axioms are dropped and reported, each key once, at its first
     axiom. The union is a's axioms followed by the second ontology's
-    survivors, by variant in tag order and each variant in axiom order, and
-    only the survivors are checked again, each variant's new keys as one
-    group; only a failing group is walked axiom by axiom, to place its
-    findings. A cycle introduced by the union is reported as a conflict on
-    the otherwise-complete result. Raises ValueError when `name` is not an
-    identifier.
+    survivors, by variant in tag order and each variant in axiom order.
+    `build_ontology` on `a` is the one admission rule: each build that fails
+    drops the axioms its findings name, and the next build judges the rest.
+    With a valid `name` every finding names one of the new axioms, so each
+    failing build drops at least one and the rounds end. A dropped
+    declaration's dependents fail the round after it; tag order bounds the
+    rounds at three. A cycle introduced by the union is reported as a
+    conflict on the otherwise-complete result. Raises ValueError when
+    `name` is not an identifier.
     """
     if not is_ident(name):
         raise ValueError(f"invalid ontology name {name!r}")
-    # A name of the second ontology is declared only by a surviving
-    # declaration. Tag order puts every declaration variant before the
-    # variants that refer to it (classes, properties, individuals, then
-    # assertions), and no variant refers to its own kind, so one pass drops
-    # the dependents of a dropped one.
-    symbols = dict(a.symbols)
     survivors: list[Axiom] = []
-    conflicts: list[Diagnostic] = []
     for variant in sorted(b.by_variant, key=attrgetter("tag")):
         group = b.by_variant[variant]
         if variant.implicit is not None:
@@ -282,25 +275,15 @@ def merge(a: Ontology, b: Ontology, name: str) -> MergeReport:
         fresh.update(zip(reversed(keys), reversed(group)))
         for key in fresh.keys() & map(variant.key, a.by_variant.get(variant, ())):
             del fresh[key]
-        group, kind = list(fresh.values()), variant.declares
-        names = list(map(attrgetter("name"), group)) if kind is not None else []
-        if group and set(map(a.symbols.get, names)) <= {None, kind} and (
-            variant.contract_clash is Axiom.contract_clash and _refers_soundly(group, symbols)
-        ):
-            survivors += group
-            symbols.update(dict.fromkeys(names, kind))
-            continue
-        for ax in group:
-            conflict = _conflict(ax, a, symbols)
-            if conflict is not None:
-                conflicts.append(conflict.diagnostic(ax.file, ax.line))
-                continue
-            survivors.append(ax)
-            if kind is not None:
-                symbols.setdefault(ax.name, kind)
+        survivors += fresh.values()
 
-    merged, build_diags = build_ontology(name, survivors, base=a)
-    if merged is None:
-        raise AssertionError(f"merge produced an unbuildable union: {build_diags}")
+    dropped: dict[int, Axiom] = {}
+    merged, findings = build_ontology(name, survivors, base=a)
+    while merged is None:
+        rejected = {id(d.axiom): d.axiom for d in findings}
+        dropped.update(rejected)
+        survivors = [ax for ax in survivors if id(ax) not in rejected]
+        merged, findings = build_ontology(name, survivors, base=a)
+    conflicts = [_conflict(ax, a, merged.symbols) for ax in dropped.values()]
     _, cycles = compute_closure(merged)
     return MergeReport(merged, len(survivors), tuple(sort_diagnostics(conflicts + cycles)))

@@ -89,13 +89,16 @@ class Severity(Enum):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """A machine-readable finding with a source location."""
+    """A machine-readable finding with a source location, and the axiom it
+    judges when there is one; the axiom takes no part in equality, order or
+    the rendered line."""
 
     severity: Severity
     code: str
     message: str
     file: str = ""
     line: int = 0
+    axiom: Optional[Axiom] = field(default=None, compare=False, repr=False)
 
     def render(self) -> str:
         return f"{self.file}:{self.line}: {self.severity.value} {self.code} {self.message}"
@@ -103,10 +106,6 @@ class Diagnostic:
 
 def error(code: str, message: str, file: str = "", line: int = 0) -> Diagnostic:
     return Diagnostic(Severity.ERROR, code, message, file, line)
-
-
-def warning(code: str, message: str, file: str = "", line: int = 0) -> Diagnostic:
-    return Diagnostic(Severity.WARNING, code, message, file, line)
 
 
 class Fault(ValueError):
@@ -330,8 +329,12 @@ class Axiom:
     line: int = field(default=0, kw_only=True)
 
     def error(self, code: str, message: str) -> Diagnostic:
-        """An error finding at the axiom's file and line."""
-        return error(code, message, self.file, self.line)
+        """An error finding on the axiom, at its file and line."""
+        return Diagnostic(Severity.ERROR, code, message, self.file, self.line, self)
+
+    def warning(self, code: str, message: str) -> Diagnostic:
+        """A warning finding on the axiom, at its file and line."""
+        return Diagnostic(Severity.WARNING, code, message, self.file, self.line, self)
 
     def unsound_references(
         self, symbols: dict[str, Kind]
@@ -613,7 +616,7 @@ def build_ontology(
         if first is not ax and first.declares is kind:
             clash = ax.contract_clash(first)
             if clash is not None:
-                diags.append(clash.diagnostic(ax.file, ax.line))
+                diags.append(ax.error(clash.code, str(clash)))
         if not names_valid and not is_ident(decl_name):
             diags.append(ax.error(E_SYNTAX, f"invalid identifier {decl_name!r}"))
             continue
@@ -626,7 +629,7 @@ def build_ontology(
             for ax in group:
                 fault = ax.fault()
                 if fault is not None:
-                    diags.append(fault.diagnostic(ax.file, ax.line))
+                    diags.append(ax.error(fault.code, str(fault)))
         if not _refers_soundly(group, symbols):
             for ax in group:
                 for ref, wanted, found in ax.unsound_references(symbols):

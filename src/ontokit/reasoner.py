@@ -11,6 +11,7 @@ from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, S
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
+from operator import attrgetter
 from typing import Optional, Union
 
 from .model import (
@@ -22,7 +23,6 @@ from .model import (
     Ontology,
     SubClassOf,
     THING,
-    error,
 )
 
 # Maps the digits of a binary numeral to the bytes 0 and 1.
@@ -283,13 +283,13 @@ def compute_closure(o: Ontology) -> tuple[Optional[TaxonomyClosure], list[Diagno
     cycles = sorted(sorted(c) for c in components if len(c) > 1)
     # One pass over the edges finds each cycle's earliest internal edge.
     cycle_of = {name: i for i, cycle in enumerate(cycles) for name in cycle}
-    anchors: dict[int, tuple[str, int]] = {}
+    anchors: dict[int, SubClassOf] = {}
     for ax in o.by_variant.get(SubClassOf, ()):
         i = cycle_of.get(ax.child)
         if i is not None and cycle_of.get(ax.parent) == i:
-            anchors[i] = min(anchors.get(i, (ax.file, ax.line)), (ax.file, ax.line))
+            anchors[i] = min(anchors.get(i, ax), ax, key=attrgetter("file", "line"))
     return None, [
-        error(E_CYCLE, "classes form a subclass cycle: " + ", ".join(cycle), *anchors[i])
+        anchors[i].error(E_CYCLE, "classes form a subclass cycle: " + ", ".join(cycle))
         for i, cycle in enumerate(cycles)
     ]
 

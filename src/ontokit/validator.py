@@ -34,7 +34,6 @@ from .model import (
     Severity,
     conforms,
     sort_diagnostics,
-    warning,
 )
 from .reasoner import Realization
 
@@ -113,8 +112,7 @@ def validate(o: Ontology, realization: Realization) -> ValidationReport:
             continue
         for ind in members[decl.domain].difference(map(_SUBJECT, groups.get(prop, ()))):
             message = f"{ind} has no value for multiple-cardinality {prop}"
-            site = o.declarations[ind]
-            diags.append(warning(E_CARD_MULTIPLE, message, site.file, site.line))
+            diags.append(o.declarations[ind].warning(E_CARD_MULTIPLE, message))
 
     checked = len(o.data_assertions) + len(o.obj_assertions)
     return ValidationReport(tuple(sort_diagnostics(diags)), checked)

@@ -99,11 +99,14 @@ def transitive_reduction(direct_parents: dict[str, frozenset[str]]) -> set[tuple
 class _Facts:
     """What the oracles read of an ontology, collected from its axioms alone:
     each class's direct parents (Thing for a parentless class, none for
-    Thing), and each individual's asserted types and first declaration site."""
+    Thing), each individual's asserted types and first declaration site,
+    and the object and data assertions in axiom order."""
 
     parents: dict[str, frozenset[str]]
     types: dict[str, set[str]]
     sites: dict[str, tuple[str, int]]
+    obj: list[ObjAssertion]
+    data: list[DataAssertion]
 
 
 # `Ontology` hashes by identity, so an entry lives exactly as long as its
@@ -117,6 +120,8 @@ def _facts(onto: Ontology) -> _Facts:
         parents: dict[str, set[str]] = {}
         types: dict[str, set[str]] = {}
         sites: dict[str, tuple[str, int]] = {}
+        obj: list[ObjAssertion] = []
+        data: list[DataAssertion] = []
         for ax in onto.axioms:
             if isinstance(ax, ClassDecl):
                 parents.setdefault(ax.name, set())
@@ -125,9 +130,13 @@ def _facts(onto: Ontology) -> _Facts:
             elif isinstance(ax, IndividualDecl):
                 types.setdefault(ax.name, set()).update(ax.types)
                 sites.setdefault(ax.name, (ax.file, ax.line))
+            elif isinstance(ax, ObjAssertion):
+                obj.append(ax)
+            elif isinstance(ax, DataAssertion):
+                data.append(ax)
         frozen = {c: frozenset(ps or {THING}) for c, ps in parents.items()}
         frozen[THING] = frozenset()
-        facts = _FACTS[onto] = _Facts(frozen, types, sites)
+        facts = _FACTS[onto] = _Facts(frozen, types, sites, obj, data)
     return facts
 
 
@@ -152,16 +161,18 @@ def walk_types(onto: Ontology, individual: str) -> set[str]:
 
 
 def oracle_members(onto: Ontology) -> dict[str, set[str]]:
-    members: dict[str, set[str]] = {c: set() for c in onto.classes | {THING}}
-    for ind in onto.individuals:
+    facts = _facts(onto)
+    members: dict[str, set[str]] = {c: set() for c in facts.parents}
+    for ind in facts.types:
         for t in walk_types(onto, ind):
             members[t].add(ind)
     return members
 
 
 def oracle_instances(onto: Ontology, expr: ClassExpr) -> set[str]:
+    facts = _facts(onto)
     if isinstance(expr, Named):
-        return {i for i in onto.individuals if expr.name in walk_types(onto, i)}
+        return {i for i in facts.types if expr.name in walk_types(onto, i)}
     if isinstance(expr, And):
         result = oracle_instances(onto, expr.parts[0])
         for p in expr.parts[1:]:
@@ -169,23 +180,15 @@ def oracle_instances(onto: Ontology, expr: ClassExpr) -> set[str]:
         return result
     if isinstance(expr, Some):
         filler = oracle_instances(onto, expr.filler)
-        return {
-            ax.subject
-            for ax in onto.obj_assertions
-            if ax.prop == expr.prop and ax.object in filler
-        }
+        return {ax.subject for ax in facts.obj if ax.prop == expr.prop and ax.object in filler}
     if isinstance(expr, ValueObj):
         return {
             ax.subject
-            for ax in onto.obj_assertions
+            for ax in facts.obj
             if ax.prop == expr.prop and ax.object == expr.individual
         }
     assert isinstance(expr, ValueData)
-    return {
-        ax.subject
-        for ax in onto.data_assertions
-        if ax.prop == expr.prop and ax.value == expr.value
-    }
+    return {ax.subject for ax in facts.data if ax.prop == expr.prop and ax.value == expr.value}
 
 
 def oracle_taxonomy(onto: Ontology, names: list[str], mode: QueryMode) -> list[str]:
@@ -295,7 +298,8 @@ def oracle_validate(onto: Ontology) -> list[tuple[str, str, int]]:
         if isinstance(ax, (ObjPropDecl, DataPropDecl)):
             decls.setdefault(ax.name, ax)
     found: list[tuple[str, str, int]] = []
-    data = [ax for ax in onto.axioms if isinstance(ax, DataAssertion)]
+    facts = _facts(onto)
+    data = facts.data
     for i, ax in enumerate(data):
         facet = decls[ax.prop].facet
         if facet.value_type not in (ValueType.ANY, ValueType.ENUM) and (
@@ -308,9 +312,7 @@ def oracle_validate(onto: Ontology) -> list[tuple[str, str, int]]:
             (e.prop, e.subject) == (ax.prop, ax.subject) for e in data[:i]
         ):
             found.append(("E_CARD_SINGLE", ax.file, ax.line))
-    for ax in onto.axioms:
-        if not isinstance(ax, (ObjAssertion, DataAssertion)):
-            continue
+    for ax in data + facts.obj:
         domain = decls[ax.prop].domain
         if domain is not None and domain not in walk_types(onto, ax.subject):
             found.append(("E_DOMAIN", ax.file, ax.line))
@@ -323,11 +325,11 @@ def oracle_validate(onto: Ontology) -> list[tuple[str, str, int]]:
             continue
         if decl.facet.cardinality is not Cardinality.MULTIPLE:
             continue
-        for ind in onto.individuals:
+        for ind in facts.types:
             if decl.domain in walk_types(onto, ind) and not any(
                 (ax.prop, ax.subject) == (prop, ind) for ax in data
             ):
-                found.append(("E_CARD_MULTIPLE", *_facts(onto).sites[ind]))
+                found.append(("E_CARD_MULTIPLE", *facts.sites[ind]))
     return found
 
 

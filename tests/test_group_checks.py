@@ -456,8 +456,8 @@ def parse_built(source: str, name: str) -> Ontology:
 
 
 class TestGroupsNotWalked:
-    """A clean group is checked once, as a whole: a spy counts the calls of
-    the per-axiom and per-cell functions."""
+    """A clean input is checked once, as a whole: a spy counts the builds of
+    a merge and the calls of the per-axiom and per-cell functions."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
@@ -466,15 +466,23 @@ class TestGroupsNotWalked:
         def spy(name):
             real = getattr(ontokit.exchange, name)
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name, *args[:1]] += 1
-                return real(*args)
+                return real(*args, **kwargs)
 
             monkeypatch.setattr(ontokit.exchange, name, wrapper)
 
         spy("_conflict")
         spy("_parse_cell")
+        spy("build_ontology")
         return calls
+
+    @staticmethod
+    def assert_worded_once_each(calls, report):
+        """`_conflict` words each dropped axiom once and no survivor."""
+        worded = Counter(key[1] for key in calls.elements() if key[0] == "_conflict")
+        assert worded == Counter(d.axiom for d in report.conflicts)
+        assert not set(map(id, worded)) & set(map(id, report.merged.axioms))
 
     def test_clean_merge_screens_no_axiom_alone(self, corpus, calls):
         """Every group of the second ontology is clean: new classes, edges,
@@ -492,12 +500,32 @@ class TestGroupsNotWalked:
         report = merge(corpus, other, "m")
         assert report.conflicts == () and report.added == 7
         assert not [key for key in calls if key[0] == "_conflict"]
+        assert calls["build_ontology", "m"] == 1
 
-    def test_failing_group_walks_its_axioms(self, corpus, calls):
-        other = parse_built("ontology other\nclass Barhee\nclass Fresh\n", "other")
+    def test_clashing_declaration_takes_a_second_build(self, corpus, calls):
+        """Only a declaration clashes: the second build admits the rest, and
+        only the dropped declaration is worded."""
+        other = parse_built("class Date_fruit\nclass Barhee\nclass Fresh sub Date_fruit\n", "other")
         report = merge(corpus, other, "m")
         assert [d.code for d in report.conflicts] == [E_KIND_CLASH]
-        assert sum(n for key, n in calls.items() if key[0] == "_conflict") == 2
+        assert report.conflicts[0].axiom is other.declarations["Barhee"]
+        assert report.added == 2 and calls["build_ontology", "m"] == 2  # Fresh and its edge
+        self.assert_worded_once_each(calls, report)
+
+    def test_dependents_of_a_dropped_declaration_take_a_third_build(self, calls):
+        """The input of `test_exchange.py::test_dropped_declaration_undeclares_its_name`:
+        `objprop p` falls with the clashing class K in the first build, and
+        the assertion that uses p in the second."""
+        a = parse_built("ontology a\nclass A\nindividual K type A\n", "a")
+        b = parse_built(
+            "ontology b\nclass K\nobjprop p domain K\nclass C\n"
+            "individual j type C\nrel j p j\n",
+            "b",
+        )
+        report = merge(a, b, "m")
+        assert [d.line for d in report.conflicts] == [2, 3, 6]
+        assert calls["build_ontology", "m"] == 3
+        self.assert_worded_once_each(calls, report)
 
     def test_clean_ingest_parses_each_column_cell_once(self, calls):
         """Two columns of one property parse their shared cells once each."""

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import inspect
 import random
+import re
 from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date, datetime
+from pathlib import Path
 
 import pytest
 
 import bruteforce
+import ontokit.model
 from ontokit.exchange import merge
 from ontokit.model import (
     _DATETIME_SHAPE_RE,
@@ -741,3 +744,13 @@ class TestCanonicalAxioms:
             assert [bruteforce.identity(a) for a in canonical_axioms(rebuilt)] == [
                 bruteforce.identity(a) for a in canon
             ]
+
+
+def test_readme_tables_every_diagnostic_code():
+    """The README's table of diagnostic codes has a row for each `E_*` code
+    that `model` defines, and no other."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Diagnostic codes\n", 1)[1].split("\n#", 1)[0]
+    rows = set(re.findall(r"^\| `(E_[A-Z_]+)` \|", table, re.MULTILINE))
+    codes = {v for k, v in vars(ontokit.model).items() if k.startswith("E_") and k == v}
+    assert rows == codes
