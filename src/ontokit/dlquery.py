@@ -11,7 +11,7 @@ intersections of named classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import compress
@@ -28,10 +28,11 @@ _QUERY_TOKENS = token_pattern(
 
 #: The deepest a query may nest `some` fillers and parentheses; a filler in
 #: parentheses is one level, so `format_expr`'s output nests as deep as its
-#: input. Parsing or normalizing (`format_expr`) one level takes at most four
-#: steps of the interpreter's recursion count, evaluating it two, so this
-#: depth uses under half of the default limit of 1 000 and leaves the rest to
-#: the caller; written queries nest a few levels.
+#: input. One level takes at most three steps of the interpreter's recursion
+#: count to parse, four to evaluate and five to format (`format_expr`, which
+#: no command calls), so this depth parses and evaluates in under half of the
+#: default limit of 1 000 and leaves the rest to the caller; written queries
+#: nest a few levels.
 MAX_NESTING = 100
 
 
@@ -45,13 +46,9 @@ class QueryMode(Enum):
 
 @dataclass(frozen=True)
 class _Expr:
-    """Base of the expression nodes. Each node class has its own `render`,
-    `check_names`, `extension` (its instances as a mask over the sorted
-    individuals) and `named_conjuncts`. `format_expr` keeps a node's text in
-    `_text`, a field rather than a `__dict__` entry, so attribute reads stay
-    fast."""
-
-    _text: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    """Base of the expression nodes. Each node class has its own `render`
+    (its text, which `format_expr` returns), `check_names`, `extension` (its
+    instances as a mask over the sorted individuals) and `named_conjuncts`."""
 
     def named_conjuncts(self) -> list[str]:
         """The named classes whose intersection this is, for the taxonomy
@@ -84,7 +81,8 @@ class And(_Expr):
     parts: tuple["ClassExpr", ...]
 
     def render(self) -> str:
-        # `and` is associative and the parser flattens it: no part needs parentheses.
+        # `and` is associative, so no part needs parentheses, and an `and`
+        # written inside an `and` renders flat.
         return " and ".join(map(format_expr, self.parts))
 
     def check_names(self, o: Ontology) -> None:
@@ -171,21 +169,15 @@ class QueryEvalError(Fault):
 
 
 def format_expr(expr: ClassExpr) -> str:
-    """Render an expression in re-parsable query syntax.
-
-    A node is immutable, so it keeps its text, and a parent's text reuses
-    its parts': formatting every level of a nested query renders each node
-    once.
-    """
-    text = expr._text
-    if text is None:
-        text = expr.render()
-        object.__setattr__(expr, "_text", text)
-    return text
+    """Render an expression in re-parsable query syntax. Each call renders
+    the whole tree; no program path formats a node twice."""
+    return expr.render()
 
 
 def make_and(parts: Iterable[ClassExpr]) -> ClassExpr:
-    """Normalized intersection: flattened, duplicate-free, sorted."""
+    """Normalized intersection: flattened, duplicate-free, sorted by text.
+    The parser keeps a query as written; the benchmark's query stream and
+    the tests' `bruteforce.random_expr` build their intersections with it."""
     unique: dict[str, ClassExpr] = {}
     for p in parts:
         for q in p.parts if isinstance(p, And) else (p,):
@@ -205,8 +197,7 @@ class _Parser(TokenCursor):
         parts = [self.term(depth)]
         while self.skip("keyword", "and"):
             parts.append(self.term(depth))
-        # A lone term is already normalized.
-        return parts[0] if len(parts) == 1 else make_and(parts)
+        return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def term(self, depth: int) -> ClassExpr:
         """A term nested `depth` levels deep."""
@@ -232,7 +223,8 @@ class _Parser(TokenCursor):
 
 
 def parse_query(text: str) -> ClassExpr:
-    """Parse query text into a normalized expression.
+    """Parse query text into an expression, kept as written: an `and`
+    keeps its parts in their written order and grouping, duplicates too.
 
     Reads the tokens with a `TokenCursor`, as the OFT token path does, and
     raises `QuerySyntaxError`, a `SyntaxFault`, with a 1-based column on

@@ -97,14 +97,18 @@ def transitive_reduction(direct_parents: dict[str, frozenset[str]]) -> set[tuple
 
 @dataclass(frozen=True)
 class _Facts:
-    """What the oracles read of an ontology, collected from its axioms alone:
-    each class's direct parents (Thing for a parentless class, none for
-    Thing), each individual's asserted types and first declaration site,
-    and the object and data assertions in axiom order."""
+    """What the oracles and `random_expr` read of an ontology, collected
+    from its axioms alone: each class's direct parents (Thing for a
+    parentless class, none for Thing), each individual's asserted types and
+    first declaration site, the declared object properties, each data
+    property's first-declared facet, and the object and data assertions in
+    axiom order."""
 
     parents: dict[str, frozenset[str]]
     types: dict[str, set[str]]
     sites: dict[str, tuple[str, int]]
+    obj_props: set[str]
+    facets: dict[str, FacetSpec]
     obj: list[ObjAssertion]
     data: list[DataAssertion]
 
@@ -120,6 +124,8 @@ def _facts(onto: Ontology) -> _Facts:
         parents: dict[str, set[str]] = {}
         types: dict[str, set[str]] = {}
         sites: dict[str, tuple[str, int]] = {}
+        obj_props: set[str] = set()
+        facets: dict[str, FacetSpec] = {}
         obj: list[ObjAssertion] = []
         data: list[DataAssertion] = []
         for ax in onto.axioms:
@@ -130,13 +136,17 @@ def _facts(onto: Ontology) -> _Facts:
             elif isinstance(ax, IndividualDecl):
                 types.setdefault(ax.name, set()).update(ax.types)
                 sites.setdefault(ax.name, (ax.file, ax.line))
+            elif isinstance(ax, ObjPropDecl):
+                obj_props.add(ax.name)
+            elif isinstance(ax, DataPropDecl):
+                facets.setdefault(ax.name, ax.facet)
             elif isinstance(ax, ObjAssertion):
                 obj.append(ax)
             elif isinstance(ax, DataAssertion):
                 data.append(ax)
         frozen = {c: frozenset(ps or {THING}) for c, ps in parents.items()}
         frozen[THING] = frozenset()
-        facts = _FACTS[onto] = _Facts(frozen, types, sites, obj, data)
+        facts = _FACTS[onto] = _Facts(frozen, types, sites, obj_props, facets, obj, data)
     return facts
 
 
@@ -467,10 +477,14 @@ def random_ontology(
 
 
 def random_expr(rng: random.Random, onto: Ontology, depth: int = 2) -> ClassExpr:
-    classes = sorted(onto.classes) + [THING]
-    individuals = sorted(onto.individuals)
-    obj_props = sorted(onto.object_properties)
-    data_props = sorted(onto.data_properties)
+    """A random expression over the ontology's declared names, read from
+    its axioms (`_facts`); a `value` on a data property mostly takes a
+    value asserted on it."""
+    facts = _facts(onto)
+    classes = sorted(facts.parents.keys() - {THING}) + [THING]
+    individuals = sorted(facts.types)
+    obj_props = sorted(facts.obj_props)
+    data_props = sorted(facts.facets)
 
     choices = ["named"]
     if depth > 0:
@@ -491,11 +505,11 @@ def random_expr(rng: random.Random, onto: Ontology, depth: int = 2) -> ClassExpr
     if pick == "valueobj":
         return ValueObj(rng.choice(obj_props), rng.choice(individuals))
     prop = rng.choice(data_props)
-    asserted = [ax.value for ax in onto.data_assertions if ax.prop == prop]
+    asserted = [ax.value for ax in facts.data if ax.prop == prop]
     if asserted and rng.random() < 0.7:
         value = rng.choice(asserted)
     else:
-        value = random_literal(rng, onto.declarations[prop].facet)
+        value = random_literal(rng, facts.facets[prop])
     return ValueData(prop, value)
 
 

@@ -196,6 +196,9 @@ class TestQuery:
                 "and their intersections",
             ),
             ("Barhee", "instances", "E_UNKNOWN_REF Barhee is declared as individual, not class"),
+            # Of several undeclared names, the first one written is named.
+            ("Zeta and Alpha", "instances", "E_UNKNOWN_REF Zeta is not declared"),
+            ("Zeta and Alpha", "subclasses", "E_UNKNOWN_REF Zeta is not declared"),
         ],
     )
     def test_evaluation_fault_is_placed_at_the_query(

@@ -26,7 +26,7 @@ from ontokit.dlquery import (
     make_and,
     parse_query,
 )
-from ontokit.corpus import load_corpus
+from ontokit.corpus import load_corpus, load_query_suite
 from ontokit.exchange import export_dot, ingest_csv, merge
 from ontokit.model import (
     Cardinality,
@@ -82,16 +82,33 @@ class TestParse:
         )
 
     def test_parens_and_flattening(self):
-        assert parse_query("A and (B and C)") == parse_query("(A and B) and C")
-        assert parse_query("A and (B and C)") == And(
-            (Named("A"), Named("B"), Named("C"))
-        )
+        """The parser keeps the written grouping; `make_and` flattens it."""
+        a, b, c = Named("A"), Named("B"), Named("C")
+        assert parse_query("A and (B and C)") == And((a, And((b, c))))
+        assert parse_query("(A and B) and C") == And((And((a, b)), c))
+        assert parse_query("A and B and C") == And((a, b, c))
+        assert make_and([a, make_and([b, c])]) == And((a, b, c))
+        assert make_and([make_and([a, b]), c]) == And((a, b, c))
 
     def test_and_order_normalized(self):
-        assert parse_query("B and A") == parse_query("A and B")
+        """The parser keeps the written order; `make_and` normalizes it."""
+        assert parse_query("B and A") == And((Named("B"), Named("A")))
+        assert make_and([Named("B"), Named("A")]) == make_and([Named("A"), Named("B")])
+        assert make_and([Named("B"), Named("A")]) == And((Named("A"), Named("B")))
+        # `make_and` sorts the parts by their text: "p some A" before "q".
+        assert make_and([Named("q"), Some("p", Named("A"))]) == And(
+            (Some("p", Named("A")), Named("q"))
+        )
 
     def test_and_duplicates_collapse(self):
-        assert parse_query("A and A") == Named("A")
+        """The parser keeps a repeated part; `make_and` collapses it."""
+        assert parse_query("A and A") == And((Named("A"), Named("A")))
+        assert make_and([Named("A"), Named("A")]) == Named("A")
+        assert make_and([parse_query("A and B"), Named("B"), Named("A")]) == And(
+            (Named("A"), Named("B"))
+        )
+        with pytest.raises(ValueError):
+            make_and([])
 
     def test_nested_some(self):
         expr = parse_query("p some q some C")
@@ -151,29 +168,24 @@ class TestParse:
                 parse_query(text)
             assert (exc.value.message, exc.value.column) == (message, column)
 
-    def test_nested_parse_formats_linearly(self, monkeypatch):
-        """Normalizing each level of a nested query formats each node once:
-        the `format_expr` calls grow linearly with the depth."""
+    def test_nested_parse_formats_nothing(self, monkeypatch):
+        """The parser keeps a query as written, so parsing even a
+        `MAX_NESTING`-deep query formats no node."""
         calls = 0
-        original = dlquery.format_expr
 
         def counted(expr):
             nonlocal calls
             calls += 1
-            return original(expr)
+            return ""
 
         monkeypatch.setattr(dlquery, "format_expr", counted)
-        counts = []
-        for depth in (25, 50, 100):
-            calls = 0
-            for text in (
-                "p some (A and " * depth + "A" + ")" * depth,
-                "A and p some (" * depth + "B" + ")" * depth,
-            ):
-                parse_query(text)
-            counts.append(calls)
-        assert counts[2] - counts[1] == 2 * (counts[1] - counts[0])
-        assert counts[2] <= 10 * 100 * 2
+        for text in (
+            "p some (A and " * MAX_NESTING + "A" + ")" * MAX_NESTING,
+            "A and p some (" * MAX_NESTING + "B" + ")" * MAX_NESTING,
+            "(B and A and " * MAX_NESTING + "A" + ")" * MAX_NESTING,
+        ):
+            parse_query(text)
+        assert calls == 0
 
     def test_empty_query(self):
         with pytest.raises(QuerySyntaxError):
@@ -567,6 +579,65 @@ class TestEvalClassModes:
                 parse_query("Tamr and Kimri"), mode,
             )
             assert left == right
+
+
+def conjunct_texts(text):
+    """The texts of a query's top-level conjuncts, in written order."""
+    expr = parse_query(text)
+    return [format_expr(part) for part in (expr.parts if isinstance(expr, And) else (expr,))]
+
+
+def outcome(onto, closure, realization, text, mode):
+    """A query's answer, or the code of the fault it raises."""
+    try:
+        return eval_query(onto, closure, realization, parse_query(text), mode)
+    except QueryEvalError as fault:
+        return fault.code
+
+
+class TestEvaluatedAsWritten:
+    """The parser keeps a query as written, and no answer depends on the
+    order, repetition or grouping of its conjuncts."""
+
+    @staticmethod
+    def variants(rng, parts):
+        """The conjuncts reversed, one of them repeated, and one pair of
+        them (or a lone one) in parentheses."""
+        k = rng.randrange(len(parts))
+        repeated = parts[:k] + [parts[k]] + parts[k:]
+        i = rng.randrange(max(1, len(parts) - 1))
+        grouped = parts[:i] + ["(" + " and ".join(parts[i:i + 2]) + ")"] + parts[i + 2:]
+        return [" and ".join(v) for v in (parts[::-1], repeated, grouped)]
+
+    def test_variants_agree_in_every_mode(self):
+        rng = random.Random(32)
+        failed = set()
+        for _ in range(300):
+            onto = bruteforce.random_ontology(rng, n_classes=8, n_individuals=8, n_assertions=15)
+            closure, _ = compute_closure(onto)
+            realization = realize(onto, closure)
+            # Depth 0 draws named classes only, which the taxonomy modes accept.
+            depth = rng.choice([0, 2])
+            expr = make_and(bruteforce.random_expr(rng, onto, depth) for _ in range(rng.randint(1, 3)))
+            parts = conjunct_texts(format_expr(expr))
+            if rng.random() < 0.2:
+                parts.insert(rng.randint(0, len(parts)), rng.choice(["Undeclared", "op0", "i000"]))
+            text = " and ".join(parts)
+            for mode in QueryMode:
+                got = outcome(onto, closure, realization, text, mode)
+                for variant in self.variants(rng, parts):
+                    assert outcome(onto, closure, realization, variant, mode) == got, (text, variant, mode)
+                if isinstance(got, str):
+                    failed.add(got)
+                elif mode is QueryMode.INSTANCES:
+                    assert set(got) == bruteforce.oracle_instances(onto, parse_query(text)), text
+        assert failed == {"E_UNKNOWN_REF", "E_UNSUPPORTED_MODE"}
+
+    def test_competency_suite_reversed(self, corpus, corpus_closure, corpus_realization):
+        for case in load_query_suite():
+            reversed_text = " and ".join(conjunct_texts(case.text)[::-1])
+            got = eval_query(corpus, corpus_closure, corpus_realization, parse_query(reversed_text), case.mode)
+            assert tuple(got) == case.expected, reversed_text
 
 
 @settings(max_examples=1000, deadline=None)
